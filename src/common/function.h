@@ -18,9 +18,11 @@ namespace themis {
 /// \brief Move-only `void()` function with small-buffer storage.
 class UniqueFunction {
  public:
-  /// Inline storage size; sized for a lambda capturing a node pointer plus a
-  /// moved Batch (the hottest event payload in the simulator).
-  static constexpr size_t kInlineSize = 64;
+  /// Inline storage size; sized for the hottest event payload in the
+  /// simulator, a network delivery holding a node pointer plus a moved
+  /// 64-byte Batch (72 bytes; see BatchDelivery in node/node.h, whose
+  /// capture site asserts the fit).
+  static constexpr size_t kInlineSize = 80;
 
   UniqueFunction() = default;
   UniqueFunction(std::nullptr_t) {}  // NOLINT

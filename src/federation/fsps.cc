@@ -183,11 +183,20 @@ Status Fsps::Deploy(std::unique_ptr<QueryGraph> graph,
                     const std::map<FragmentId, NodeId>& placement) {
   if (!graph) return Status::InvalidArgument("null query graph");
   QueryId q = graph->id();
-  if (graphs_.count(q) > 0) {
+  if (q < 0) {
+    return Status::InvalidArgument("negative query id " + std::to_string(q));
+  }
+  if (deployed(q) != nullptr) {
     return Status::AlreadyExists("query " + std::to_string(q) +
                                  " already deployed");
   }
-  for (FragmentId frag : graph->fragment_ids()) {
+  const std::vector<FragmentId> frags = graph->fragment_ids();
+  for (FragmentId frag : frags) {
+    if (frag < 0) {
+      return Status::InvalidArgument("negative fragment id " +
+                                     std::to_string(frag) + " in query " +
+                                     std::to_string(q));
+    }
     auto it = placement.find(frag);
     if (it == placement.end()) {
       return Status::InvalidArgument("fragment " + std::to_string(frag) +
@@ -213,28 +222,41 @@ Status Fsps::Deploy(std::unique_ptr<QueryGraph> graph,
       graph.get(), copts, engine_->queue(shard_of_node_[home]), &network_);
   coordinator->SetHome(home);
 
-  for (FragmentId frag : graph->fragment_ids()) {
+  if (static_cast<size_t>(q) >= queries_.size()) queries_.resize(q + 1);
+  DeployedQuery& slot = queries_[q];
+  // Fragment ids ascend, so the last one sizes the placement vector.
+  slot.placement.assign(frags.empty() ? 0 : frags.back() + 1, kInvalidId);
+  for (FragmentId frag : frags) {
     NodeId nid = placement.at(frag);
     nodes_[nid]->HostFragment(graph.get(), frag);
     coordinator->AddHost(nid, nodes_[nid].get());
+    slot.placement[frag] = nid;
   }
 
-  placements_[q] = placement;
-  coordinators_[q] = std::move(coordinator);
-  graphs_[q] = std::move(graph);
-  if (started_) coordinators_[q]->Start();
+  slot.coordinator = std::move(coordinator);
+  slot.graph = std::move(graph);
+  if (started_) slot.coordinator->Start();
   return Status::OK();
+}
+
+Fsps::DeployedQuery* Fsps::deployed(QueryId q) {
+  if (q < 0 || static_cast<size_t>(q) >= queries_.size()) return nullptr;
+  return queries_[q].graph != nullptr ? &queries_[q] : nullptr;
+}
+
+const Fsps::DeployedQuery* Fsps::deployed(QueryId q) const {
+  if (q < 0 || static_cast<size_t>(q) >= queries_.size()) return nullptr;
+  return queries_[q].graph != nullptr ? &queries_[q] : nullptr;
 }
 
 Status Fsps::AttachSources(QueryId q,
                            const std::map<SourceId, SourceModel>& models,
                            const SourceModel& fallback) {
-  auto git = graphs_.find(q);
-  if (git == graphs_.end()) {
+  const DeployedQuery* dq = deployed(q);
+  if (dq == nullptr) {
     return Status::NotFound("query " + std::to_string(q) + " not deployed");
   }
-  const QueryGraph* graph = git->second.get();
-  const auto& placement = placements_.at(q);
+  const QueryGraph* graph = dq->graph.get();
 
   for (const SourceBinding& sb : graph->sources()) {
     SourceModel model = fallback;
@@ -243,12 +265,16 @@ Status Fsps::AttachSources(QueryId q,
     }
     if (options_.columnar) model.columnar = true;
 
-    NodeId dest = placement.at(graph->fragment_of(sb.target));
+    const FragmentId frag = graph->fragment_of(sb.target);
+    NodeId dest = dq->placement[frag];
     Node* dest_node = nodes_[dest].get();
-    // Delivery resolves the receiver's placement per batch, so generated
-    // traffic follows the fragment when a crash re-places it.
-    auto deliver = [this, q, target = sb.target](Batch b) {
-      RouteSourceBatch(q, target, std::move(b));
+    // The driver is bound to its receiver's fragment; delivery resolves the
+    // fragment's host per batch, so generated traffic follows the fragment
+    // when a crash re-places it. The kInvalidId sender makes Network::Send
+    // route on the destination's shard, the driver's own (drivers are
+    // destination-pinned).
+    auto deliver = [this, q, frag](Batch b) {
+      RouteBatch(kInvalidId, q, frag, std::move(b));
     };
     // The driver is pinned to its *initial* destination node's shard: it
     // draws from that node's batch pool at generation time, and its
@@ -264,44 +290,33 @@ Status Fsps::AttachSources(QueryId q,
   return Status::OK();
 }
 
-void Fsps::RouteSourceBatch(QueryId q, OperatorId target, Batch batch) {
-  auto git = graphs_.find(q);
-  if (git == graphs_.end()) return;
-  // kInvalidId sender: Network::Send routes on the destination's shard,
-  // which is the source driver's own (drivers are destination-pinned).
-  RouteBatch(kInvalidId, q, git->second->fragment_of(target),
-             std::move(batch));
-}
-
 Status Fsps::Undeploy(QueryId q) {
-  auto git = graphs_.find(q);
-  if (git == graphs_.end()) {
+  DeployedQuery* dq = deployed(q);
+  if (dq == nullptr) {
     return Status::NotFound("query " + std::to_string(q) + " not deployed");
   }
   for (auto& src : sources_) {
     if (src->query_id() == q) src->Stop();
   }
-  for (const auto& [frag, node_id] : placements_.at(q)) {
+  for (size_t frag = 0; frag < dq->placement.size(); ++frag) {
+    NodeId node_id = dq->placement[frag];
+    if (node_id == kInvalidId) continue;
     // The graph below is retired, not destroyed — without this, every
     // undeployed query's window panes and batch buffers would stay resident
     // for the rest of the run. Hand them back to the hosting node's pool
     // before the fragment is unhosted.
-    for (OperatorId oid : git->second->fragment_ops(frag)) {
-      git->second->op(oid)->ReleaseState(nodes_[node_id]->batch_pool());
+    for (OperatorId oid :
+         dq->graph->fragment_ops(static_cast<FragmentId>(frag))) {
+      dq->graph->op(oid)->ReleaseState(nodes_[node_id]->batch_pool());
     }
     nodes_[node_id]->UnhostQuery(q);
   }
   // Checkpoint images of a departed query are dead weight; drop them.
   for (auto& n : nodes_) n->checkpoint_store()->EraseQuery(q);
-  auto cit = coordinators_.find(q);
-  if (cit != coordinators_.end()) {
-    cit->second->Stop();
-    retired_coordinators_.push_back(std::move(cit->second));
-    coordinators_.erase(cit);
-  }
-  retired_graphs_.push_back(std::move(git->second));
-  graphs_.erase(git);
-  placements_.erase(q);
+  dq->coordinator->Stop();
+  retired_coordinators_.push_back(std::move(dq->coordinator));
+  retired_graphs_.push_back(std::move(dq->graph));
+  dq->placement.clear();
   return Status::OK();
 }
 
@@ -337,7 +352,9 @@ void Fsps::Start() {
     engine_->SetLookahead(lookahead);
   }
   for (const auto& n : nodes_) n->Start();
-  for (auto& [q, coord] : coordinators_) coord->Start();
+  for (DeployedQuery& dq : queries_) {
+    if (dq.coordinator) dq.coordinator->Start();
+  }
   for (auto& src : sources_) src->Start();
 }
 
@@ -403,9 +420,10 @@ void Fsps::RunFor(SimDuration d) {
 
 void Fsps::SampleRecovery() {
   std::vector<std::pair<QueryId, double>> sics;
-  sics.reserve(coordinators_.size());
-  for (auto& [q, coord] : coordinators_) {
-    sics.emplace_back(q, coord->CurrentSic());
+  for (size_t q = 0; q < queries_.size(); ++q) {
+    if (QueryCoordinator* coord = queries_[q].coordinator.get()) {
+      sics.emplace_back(static_cast<QueryId>(q), coord->CurrentSic());
+    }
   }
   uint64_t before = recovery_.jain_series().pushed();
   recovery_.Sample(engine_->now(), sics);
@@ -594,15 +612,13 @@ void Fsps::CrashNodeNow(NodeId id) {
   churn_stats_.crashes += 1;
   topology_dirty_ = true;
   // Re-place the orphaned fragments query by query, in ascending query-id
-  // order (placements_ is an ordered map) for determinism. Collect first:
-  // ReplaceOrphans mutates placements_ (force-undeploy erases entries).
+  // order for determinism. Collect first: ReplaceOrphans mutates the
+  // placements (force-undeploy clears slots).
   std::vector<QueryId> affected;
-  for (const auto& [q, placement] : placements_) {
-    for (const auto& [frag, nid] : placement) {
-      if (nid == id) {
-        affected.push_back(q);
-        break;
-      }
+  for (size_t q = 0; q < queries_.size(); ++q) {
+    const std::vector<NodeId>& placement = queries_[q].placement;
+    if (std::find(placement.begin(), placement.end(), id) != placement.end()) {
+      affected.push_back(static_cast<QueryId>(q));
     }
   }
   for (QueryId q : affected) ReplaceOrphans(q, id);
@@ -718,15 +734,16 @@ Status Fsps::RebalanceNow(const std::vector<int>& group_of_node) {
   }
   shard_of_node_ = new_map;
   network_.UpdateShardMap(shard_of_node_);
-  for (auto& [q, coord] : coordinators_) {
-    coord->MigrateQueue(engine_->queue(shard_of_node_[coord->home()]));
+  for (DeployedQuery& dq : queries_) {
+    if (QueryCoordinator* coord = dq.coordinator.get()) {
+      coord->MigrateQueue(engine_->queue(shard_of_node_[coord->home()]));
+    }
   }
   for (auto& src : sources_) {
     if (src->stopped()) continue;
-    auto git = graphs_.find(src->query_id());
-    if (git == graphs_.end()) continue;
-    NodeId dest = placements_.at(src->query_id())
-                      .at(git->second->fragment_of(src->target_op()));
+    const DeployedQuery* dq = deployed(src->query_id());
+    if (dq == nullptr) continue;
+    NodeId dest = dq->placement[dq->graph->fragment_of(src->target_op())];
     src->Rehome(engine_->queue(shard_of_node_[dest]),
                 nodes_[dest]->batch_pool());
   }
@@ -740,9 +757,10 @@ Status Fsps::RebalanceNow(const std::vector<int>& group_of_node) {
 }
 
 void Fsps::ReplaceOrphans(QueryId q, NodeId crashed) {
-  auto& placement = placements_.at(q);
-  const QueryGraph* graph = graphs_.at(q).get();
-  QueryCoordinator* coord = coordinators_.at(q).get();
+  DeployedQuery& dq = queries_[q];
+  std::vector<NodeId>& placement = dq.placement;
+  const QueryGraph* graph = dq.graph.get();
+  QueryCoordinator* coord = dq.coordinator.get();
 
   // Candidates: live nodes — restricted to the crashed node's simulation
   // shard when sharded, because the query's source drivers and coordinator
@@ -767,8 +785,8 @@ void Fsps::ReplaceOrphans(QueryId q, NodeId crashed) {
   // distinct-node guarantee is re-established against the live set, and
   // co-location is a last resort when every candidate already hosts one.
   std::set<NodeId> occupied;
-  for (const auto& [frag, nid] : placement) {
-    if (nid != crashed) occupied.insert(nid);
+  for (NodeId nid : placement) {
+    if (nid != kInvalidId && nid != crashed) occupied.insert(nid);
   }
 
   // kSicAware: rank the candidates by their live overload signal plus the
@@ -795,10 +813,8 @@ void Fsps::ReplaceOrphans(QueryId q, NodeId crashed) {
       }
       loads.push_back({c, NodeLoadSignal(c, now) + inflight});
     }
-    size_t orphans = 0;
-    for (const auto& [frag, nid] : placement) {
-      if (nid == crashed) ++orphans;
-    }
+    size_t orphans = static_cast<size_t>(
+        std::count(placement.begin(), placement.end(), crashed));
     if (orphans > 0) {
       // The projected mass must be in the same unit as the ranking signal.
       double carried =
@@ -809,8 +825,9 @@ void Fsps::ReplaceOrphans(QueryId q, NodeId crashed) {
     }
   }
 
-  for (auto& [frag, nid] : placement) {
-    if (nid != crashed) continue;
+  for (size_t f = 0; f < placement.size(); ++f) {
+    if (placement[f] != crashed) continue;
+    const FragmentId frag = static_cast<FragmentId>(f);
     NodeId target = kInvalidId;
     if (options_.replacement == ReplacementPolicy::kSicAware) {
       target = ChooseLeastLoaded(loads, occupied);
@@ -837,7 +854,7 @@ void Fsps::ReplaceOrphans(QueryId q, NodeId crashed) {
         replacement_cursor_ = (replacement_cursor_ + 1) % candidates.size();
       }
     }
-    nid = target;
+    placement[f] = target;
     occupied.insert(target);
     // Crash-time state semantics. Operator state (windows, panes) lives in
     // the shared QueryGraph, so hosting the fragment elsewhere would
@@ -877,7 +894,7 @@ void Fsps::ReplaceOrphans(QueryId q, NodeId crashed) {
     // The root fragment moved with the rest; dissemination latencies now
     // originate from its new host (same shard, so the coordinator's event
     // queue stays valid).
-    coord->SetHome(placement.at(graph->root_fragment()));
+    coord->SetHome(placement[graph->root_fragment()]);
   }
 }
 
@@ -895,19 +912,20 @@ double Fsps::NodeLoadSignal(NodeId id, SimTime now) {
 
 std::vector<QueryId> Fsps::query_ids() const {
   std::vector<QueryId> ids;
-  ids.reserve(graphs_.size());
-  for (const auto& [q, graph] : graphs_) ids.push_back(q);
+  for (size_t q = 0; q < queries_.size(); ++q) {
+    if (queries_[q].graph != nullptr) ids.push_back(static_cast<QueryId>(q));
+  }
   return ids;
 }
 
 const QueryGraph* Fsps::graph(QueryId q) const {
-  auto it = graphs_.find(q);
-  return it == graphs_.end() ? nullptr : it->second.get();
+  const DeployedQuery* dq = deployed(q);
+  return dq == nullptr ? nullptr : dq->graph.get();
 }
 
 QueryCoordinator* Fsps::coordinator(QueryId q) {
-  auto it = coordinators_.find(q);
-  return it == coordinators_.end() ? nullptr : it->second.get();
+  DeployedQuery* dq = deployed(q);
+  return dq == nullptr ? nullptr : dq->coordinator.get();
 }
 
 double Fsps::QuerySic(QueryId q) {
@@ -917,8 +935,9 @@ double Fsps::QuerySic(QueryId q) {
 
 std::vector<double> Fsps::AllQuerySics() {
   std::vector<double> sics;
-  sics.reserve(coordinators_.size());
-  for (auto& [q, coord] : coordinators_) sics.push_back(coord->CurrentSic());
+  for (DeployedQuery& dq : queries_) {
+    if (dq.coordinator) sics.push_back(dq.coordinator->CurrentSic());
+  }
   return sics;
 }
 
@@ -948,22 +967,27 @@ size_t Fsps::BatchBytes(const Batch& b) {
 
 void Fsps::RouteBatch(NodeId from, QueryId query, FragmentId to_fragment,
                       Batch batch) {
-  auto pit = placements_.find(query);
-  if (pit == placements_.end()) return;
-  auto fit = pit->second.find(to_fragment);
-  if (fit == pit->second.end()) return;
-  NodeId dest = fit->second;
-  Node* dest_node = nodes_[dest].get();
+  // An undeployed query's slot has an empty placement, so its in-flight
+  // and still-generated batches stop here.
+  if (query < 0 || static_cast<size_t>(query) >= queries_.size()) return;
+  const std::vector<NodeId>& placement = queries_[query].placement;
+  if (to_fragment < 0 || static_cast<size_t>(to_fragment) >= placement.size()) {
+    return;
+  }
+  NodeId dest = placement[to_fragment];
+  if (dest == kInvalidId) return;
   size_t bytes = BatchBytes(batch);
-  network_.Send(from, dest, bytes, [dest_node, b = std::move(batch)]() mutable {
-    dest_node->Receive(std::move(b));
-  });
+  static_assert(sizeof(BatchDelivery) <= UniqueFunction::kInlineSize,
+                "a network delivery must not heap-allocate its event");
+  network_.Send(from, dest, bytes,
+                BatchDelivery{nodes_[dest].get(), std::move(batch)});
 }
 
 void Fsps::DeliverResult(QueryId query, SimTime now,
                          const std::vector<Tuple>& results) {
-  auto it = coordinators_.find(query);
-  if (it != coordinators_.end()) it->second->OnResult(now, results);
+  if (QueryCoordinator* coord = coordinator(query)) {
+    coord->OnResult(now, results);
+  }
 }
 
 }  // namespace themis

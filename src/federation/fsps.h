@@ -188,7 +188,8 @@ class Fsps : public BatchRouter {
   // --- query deployment -----------------------------------------------------
 
   /// Deploys `graph` with the given fragment placement. Every fragment must
-  /// be mapped to an existing node.
+  /// be mapped to an existing node. Query and fragment ids must be
+  /// non-negative (InvalidArgument otherwise): they index dense tables.
   Status Deploy(std::unique_ptr<QueryGraph> graph,
                 const std::map<FragmentId, NodeId>& placement);
 
@@ -297,9 +298,6 @@ class Fsps : public BatchRouter {
   Status RebalanceNow(const std::vector<int>& group_of_node);
   /// Estimated wire size of a batch (tuple payloads + the 10-byte header).
   static size_t BatchBytes(const Batch& b);
-  /// Source-batch delivery with a placement lookup per batch, so sources
-  /// follow their receiver fragment when it is re-placed after a crash.
-  void RouteSourceBatch(QueryId q, OperatorId target, Batch batch);
   /// Moves query `q`'s fragments off `crashed` onto live nodes (same shard
   /// when sharded), or force-undeploys `q` when none exist.
   void ReplaceOrphans(QueryId q, NodeId crashed);
@@ -327,9 +325,22 @@ class Fsps : public BatchRouter {
   Network network_;
   std::vector<int> shard_of_node_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::map<QueryId, std::unique_ptr<QueryGraph>> graphs_;
-  std::map<QueryId, std::map<FragmentId, NodeId>> placements_;
-  std::map<QueryId, std::unique_ptr<QueryCoordinator>> coordinators_;
+  // One deployed query: its graph, coordinator and fragment placement.
+  struct DeployedQuery {
+    std::unique_ptr<QueryGraph> graph;  ///< null: the slot holds no query
+    std::unique_ptr<QueryCoordinator> coordinator;
+    /// Hosting node per FragmentId; kInvalidId for ids the graph lacks.
+    std::vector<NodeId> placement;
+  };
+  // Deployed queries, indexed by QueryId (dense, like the nodes' tables).
+  // Index order is the ascending query order the deterministic control
+  // plane walks. Every placement edit (Deploy, Undeploy, ReplaceOrphans,
+  // force-undeploy) updates the slot, so per-batch routing is two indexed
+  // loads. Only mutated between RunFor calls; shard threads read it.
+  std::vector<DeployedQuery> queries_;
+  /// The slot of deployed query `q`, or null.
+  DeployedQuery* deployed(QueryId q);
+  const DeployedQuery* deployed(QueryId q) const;
   // Undeployed queries' coordinators and graphs are retired, not destroyed:
   // already-scheduled timer events and in-flight batches may still hold
   // pointers into them until the event queue drains past them.

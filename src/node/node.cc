@@ -20,19 +20,19 @@ Node::Node(NodeId id, NodeOptions options, EventQueue* queue,
 }
 
 void Node::HostFragment(const QueryGraph* graph, FragmentId fragment) {
-  QueryId q = graph->id();
-  if (static_cast<size_t>(q) >= hosted_.size()) {
-    hosted_.resize(q + 1);
+  HostedState& hs = hosted_.Get(graph->id());
+  auto pos = std::lower_bound(hs.fragments.begin(), hs.fragments.end(),
+                              fragment);
+  if (pos == hs.fragments.end() || *pos != fragment) {
+    hs.fragments.insert(pos, fragment);
   }
-  hosted_fragments_[q].insert(fragment);
 
   // Rebuild the flattened pump order and hosted-operator flags from the
   // fragment set (ascending fragments, topo order within a fragment).
-  HostedState& hs = hosted_[q];
   hs.graph = graph;
   hs.pump_ops.clear();
   hs.hosted_op.assign(graph->num_operators(), 0);
-  for (FragmentId frag : hosted_fragments_[q]) {
+  for (FragmentId frag : hs.fragments) {
     for (OperatorId op : graph->fragment_ops(frag)) {
       hs.pump_ops.push_back(op);
       hs.hosted_op[op] = 1;
@@ -41,14 +41,7 @@ void Node::HostFragment(const QueryGraph* graph, FragmentId fragment) {
 }
 
 void Node::UnhostQuery(QueryId q) {
-  if (q >= 0 && static_cast<size_t>(q) < hosted_.size()) {
-    hosted_[q] = HostedState{};
-  }
-  hosted_fragments_.erase(q);
-  query_sic_.erase(q);
-  accepted_sic_.erase(q);
-  arrival_tuples_.erase(q);
-  efficiency_.erase(q);
+  hosted_.Reset(q);
   stamper_.RemoveQuery(q);
   ib_.RemoveQuery(q);
 }
@@ -130,7 +123,7 @@ void Node::Receive(Batch batch) {
   stats_.batches_received += 1;
   stats_.tuples_received += batch.size();
 
-  const HostedState* hs = hosted_state(batch.header.query_id);
+  HostedState* hs = hosted_.Hosted(batch.header.query_id);
   if (hs == nullptr) {
     // Unknown query: either never hosted here or undeployed while this
     // batch was in flight. Drop at ingress (recycling the buffer).
@@ -145,13 +138,10 @@ void Node::Receive(Batch batch) {
   // Offered-load accounting (before admission: shed tuples still count —
   // the placement signal should see demand, not the shedder's verdict).
   if (options_.track_arrivals) {
-    auto arr_it = arrival_tuples_.find(batch.header.query_id);
-    if (arr_it == arrival_tuples_.end()) {
-      arr_it = arrival_tuples_
-                   .emplace(batch.header.query_id, StwTracker(options_.stw))
-                   .first;
+    if (!hs->arrivals) {
+      hs->arrivals = std::make_unique<StwTracker>(options_.stw);
     }
-    arr_it->second.AddResultSic(now, static_cast<double>(batch.size()));
+    hs->arrivals->AddResultSic(now, static_cast<double>(batch.size()));
   }
 
   ib_.Push(std::move(batch));
@@ -159,7 +149,14 @@ void Node::Receive(Batch batch) {
 }
 
 void Node::UpdateQuerySic(QueryId query, double sic) {
-  query_sic_[query] = sic;
+  if (query < 0) return;  // no coordinator disseminates for such an id
+  hosted_.Get(query).SetSic(sic);
+}
+
+std::optional<double> Node::KnownQuerySic(QueryId q) const {
+  const HostedState* row = hosted_.Find(q);
+  if (row == nullptr || !row->has_sic) return std::nullopt;
+  return row->sic;
 }
 
 size_t Node::CurrentCapacity() const {
@@ -167,13 +164,15 @@ size_t Node::CurrentCapacity() const {
 }
 
 double Node::AcceptedSic(QueryId q, SimTime now) {
-  auto it = accepted_sic_.find(q);
-  return it == accepted_sic_.end() ? 0.0 : it->second.tracker.QuerySic(now);
+  HostedState* row = hosted_.Find(q);
+  return row == nullptr || !row->accepted
+             ? 0.0
+             : row->accepted->tracker.QuerySic(now);
 }
 
 double Node::ArrivalTuplesStw(QueryId q, SimTime now) {
-  auto it = arrival_tuples_.find(q);
-  return it == arrival_tuples_.end() ? 0.0 : it->second.RawSum(now);
+  HostedState* row = hosted_.Find(q);
+  return row == nullptr || !row->arrivals ? 0.0 : row->arrivals->RawSum(now);
 }
 
 double Node::OfferedLoadUs(QueryId q, SimTime now) {
@@ -184,20 +183,20 @@ double Node::OfferedLoadUs(QueryId q, SimTime now) {
 
 double Node::OfferedLoadUs(SimTime now) {
   double total = 0.0;
-  for (auto& [q, tracker] : arrival_tuples_) {
-    total += tracker.RawSum(now);
+  for (HostedState& row : hosted_) {
+    if (row.arrivals) total += row.arrivals->RawSum(now);
   }
   return total * cost_model_.PerTupleUs();
 }
 
 double Node::AcceptedSicTotal(QueryId q) const {
-  auto it = accepted_sic_.find(q);
-  return it == accepted_sic_.end() ? 0.0 : it->second.total_sic;
+  const HostedState* row = hosted_.Find(q);
+  return row == nullptr || !row->accepted ? 0.0 : row->accepted->total_sic;
 }
 
 uint64_t Node::AcceptedTuplesTotal(QueryId q) const {
-  auto it = accepted_sic_.find(q);
-  return it == accepted_sic_.end() ? 0 : it->second.total_tuples;
+  const HostedState* row = hosted_.Find(q);
+  return row == nullptr || !row->accepted ? 0 : row->accepted->total_tuples;
 }
 
 std::vector<QueryId> Node::HostedQueries() const {
@@ -229,15 +228,9 @@ void Node::ProcessNext(uint64_t gen) {
   if (!batch) return;
 
   QueryId batch_query = batch->header.query_id;
-  auto acc_it = accepted_sic_.find(batch_query);
-  if (acc_it == accepted_sic_.end()) {
-    acc_it = accepted_sic_
-                 .emplace(batch_query, AcceptedAccount(options_.stw))
-                 .first;
-  }
-  acc_it->second.tracker.AddResultSic(now, batch->header.sic);
-  acc_it->second.total_sic += batch->header.sic;
-  acc_it->second.total_tuples += batch->size();
+  hosted_.Get(batch_query)
+      .Accepted(options_.stw)
+      .Add(now, batch->header.sic, batch->size());
   if (telemetry::Telemetry* tel = telemetry::Get()) {
     query_telemetry_.RecordAccepted(tel, batch_query, batch->header.sic,
                                     batch->size());
@@ -257,7 +250,7 @@ void Node::ProcessNext(uint64_t gen) {
 }
 
 double Node::ExecuteBatch(const Batch& batch) {
-  const HostedState* hs = hosted_state(batch.header.query_id);
+  const HostedState* hs = hosted_.Hosted(batch.header.query_id);
   if (hs == nullptr) {
     THEMIS_LOG(Warn) << "node " << id_ << ": batch for unknown query "
                      << batch.header.query_id;
@@ -398,18 +391,7 @@ void Node::OnShedTimer(uint64_t gen) {
   stats_.last_capacity = capacity;
 
   // Refresh per-query efficiency estimates (result SIC per accepted SIC).
-  // The disseminated value lags the accept level by the operator pipeline
-  // latency, so the ratio is smoothed with a slow EWMA.
-  for (auto& [q, acc] : accepted_sic_) {
-    double accepted = acc.tracker.QuerySic(now);
-    if (accepted > 0.02) {
-      if (auto it = query_sic_.find(q); it != query_sic_.end()) {
-        double ratio = std::clamp(it->second / accepted, 0.0, 1.2);
-        auto [eff_it, ins] = efficiency_.try_emplace(q, Ewma(0.05));
-        eff_it->second.Update(ratio);
-      }
-    }
-  }
+  hosted_.RefreshEfficiency(now);
 
   bool overloaded = detector_.IsOverloaded(ib_.num_tuples(), capacity);
   if (tel != nullptr) {
@@ -418,21 +400,11 @@ void Node::OnShedTimer(uint64_t gen) {
     if (ckpt_config_.enabled) ckpt_telemetry_.Publish(tel, ckpt_store_);
   }
   if (overloaded) {
-    accepted_snapshot_.assign(hosted_.size(), 0.0);
-    for (auto& [q, acc] : accepted_sic_) {
-      double eff = 1.0;
-      if (auto it = efficiency_.find(q); it != efficiency_.end()) {
-        if (it->second.has_value()) eff = std::max(it->second.value(), 0.05);
-      }
-      if (static_cast<size_t>(q) >= accepted_snapshot_.size()) {
-        accepted_snapshot_.resize(q + 1, 0.0);
-      }
-      accepted_snapshot_[q] = acc.tracker.QuerySic(now) * eff;
-    }
+    hosted_.FillShedInputs(now, &query_sic_snapshot_, &accepted_snapshot_);
     ShedContext ctx;
     ctx.capacity_tuples = capacity;
     ctx.now = now;
-    ctx.query_sic = &query_sic_;
+    ctx.query_sic = &query_sic_snapshot_;
     ctx.local_accepted_sic = &accepted_snapshot_;
     std::vector<size_t> keep =
         shedder_->SelectBatchesToKeep(ib_.batches(), ctx);

@@ -4,14 +4,14 @@
 #ifndef THEMIS_NODE_NODE_H_
 #define THEMIS_NODE_NODE_H_
 
-#include <map>
 #include <memory>
-#include <set>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "common/time_types.h"
 #include "node/input_buffer.h"
+#include "node/query_row.h"
 #include "node/sic_stamper.h"
 #include "node/telemetry_hooks.h"
 #include "runtime/batch_pool.h"
@@ -148,9 +148,9 @@ class Node {
   size_t CurrentCapacity() const;
   /// Queries with at least one hosted fragment.
   std::vector<QueryId> HostedQueries() const;
-  const std::map<QueryId, double>& known_query_sic() const {
-    return query_sic_;
-  }
+  /// Latest result SIC disseminated to this node for query `q`, if any
+  /// arrived since `q` was last unhosted.
+  std::optional<double> KnownQuerySic(QueryId q) const;
   /// SIC mass accepted for processing for query `q` over the trailing STW
   /// (diagnostics; the shedder sees this scaled by the efficiency estimate).
   double AcceptedSic(QueryId q, SimTime now);
@@ -183,22 +183,22 @@ class Node {
   /// Executes one admitted batch through the hosted part of its query graph.
   /// Returns the simulated work in microseconds.
   double ExecuteBatch(const Batch& batch);
-  /// Per-query hosted state, flattened for O(1) per-batch access (query and
+  /// Per-query state, flattened for O(1) per-batch access (query and
   /// operator ids are small dense ints). `graph == nullptr` means the query
   /// is not hosted here.
-  struct HostedState {
-    const QueryGraph* graph = nullptr;
+  struct HostedState : QueryRow {
+    /// Hosted fragments, ascending.
+    std::vector<FragmentId> fragments;
     /// Operators of hosted fragments in pump order (fragments ascending,
     /// topologically sorted within a fragment).
     std::vector<OperatorId> pump_ops;
     /// hosted_op[op] != 0 iff `op` runs on this node; indexed by OperatorId.
     std::vector<char> hosted_op;
+    /// Trailing-STW arrival (offered-load) mass, fed at ingress before
+    /// admission; created with the first arrival when track_arrivals is on.
+    /// The arrival-rate x cost placement signal reads it.
+    std::unique_ptr<StwTracker> arrivals;
   };
-
-  const HostedState* hosted_state(QueryId q) const {
-    if (q < 0 || static_cast<size_t>(q) >= hosted_.size()) return nullptr;
-    return hosted_[q].graph != nullptr ? &hosted_[q] : nullptr;
-  }
 
   /// Advances windows of all hosted operators of `hs`'s hosted fragments,
   /// routing any emissions. Adds incurred work to `*work_us` if non-null.
@@ -230,38 +230,23 @@ class Node {
   // data across events, only avoids a fresh vector per pumped operator.
   std::vector<Tuple> scratch_outputs_;
 
-  // Hosted state, indexed by QueryId (dense; entries with a null graph are
-  // not hosted). Iteration in index order matches the former std::map's
-  // ascending-query order, which the deterministic event sequence relies on.
-  std::vector<HostedState> hosted_;
-  std::map<QueryId, std::set<FragmentId>> hosted_fragments_;
+  // Per-query state, indexed by QueryId. Iteration in index order is
+  // ascending-query order, which the deterministic event sequence relies
+  // on. The admission account is the lag-free local signal for the shedder
+  // (see ShedContext), scaled by the slow efficiency estimate so it
+  // predicts *result* SIC: queries lose SIC mass semantically (filters
+  // dropping whole panes, join windows with one side missing), and
+  // equalising raw accepted mass would leave low-efficiency queries
+  // permanently below the water level. Its running totals feed the server
+  // oracle comparison.
+  QueryTable<HostedState> hosted_;
 
   // Eq. (1) stamping state (per-(query, source) rate estimates), shared
   // with the real-time server ingress via SicStamper.
   SicStamper stamper_;
 
-  // Latest disseminated result SIC per hosted query.
-  std::map<QueryId, double> query_sic_;
-
-  // Per-query admission accounting: the trailing-STW tracker is the
-  // lag-free local signal for the shedder (see ShedContext), scaled by a
-  // slow per-query efficiency estimate so it predicts *result* SIC: queries
-  // lose SIC mass semantically (filters dropping whole panes, join windows
-  // with one side missing), and equalising raw accepted mass would leave
-  // low-efficiency queries permanently below the water level. The running
-  // totals feed the server oracle comparison.
-  struct AcceptedAccount {
-    explicit AcceptedAccount(SimDuration stw) : tracker(stw) {}
-    StwTracker tracker;
-    double total_sic = 0.0;
-    uint64_t total_tuples = 0;
-  };
-  std::map<QueryId, AcceptedAccount> accepted_sic_;
-  // Trailing-STW arrival (offered-load) mass per query, fed at ingress
-  // before admission; the arrival-rate x cost placement signal reads it.
-  std::map<QueryId, StwTracker> arrival_tuples_;
-  std::map<QueryId, Ewma> efficiency_;
-  // Reused per shed tick; indexed by QueryId (see ShedContext).
+  // Reused per overloaded shed tick; indexed by QueryId (see ShedContext).
+  std::vector<double> query_sic_snapshot_;
   std::vector<double> accepted_snapshot_;
   // Cached per-query telemetry counters (no-op unless installed).
   QueryTelemetry query_telemetry_;
@@ -294,6 +279,16 @@ class Node {
   SimDuration interval_busy_ = 0;
 
   NodeStats stats_;
+};
+
+/// Event payload of a simulated network delivery: hands `batch` to `dest`.
+/// Every inter-node and source batch travels as one, so it must fit
+/// UniqueFunction's inline buffer (Fsps::RouteBatch asserts it): a
+/// delivery then schedules without a heap allocation.
+struct BatchDelivery {
+  Node* dest;
+  Batch batch;
+  void operator()() { dest->Receive(std::move(batch)); }
 };
 
 }  // namespace themis

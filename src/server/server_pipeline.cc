@@ -31,8 +31,7 @@ ServerPipeline::ServerPipeline(ServerOptions options, Clock* clock,
 ServerPipeline::~ServerPipeline() { Stop(); }
 
 void ServerPipeline::AddQuery(const QueryGraph* graph) {
-  QueryId q = graph->id();
-  HostedQuery& hq = queries_[q];
+  HostedQuery& hq = queries_.Get(graph->id());
   hq.graph = graph;
   hq.by_op.resize(graph->num_operators());
   hq.pump.clear();
@@ -110,8 +109,8 @@ bool ServerPipeline::Push(Batch batch) {
   SimTime now = clock_->NowMicros();
   stats_.batches_received += 1;
   stats_.tuples_received += batch.size();
-  auto it = queries_.find(batch.header.query_id);
-  if (it == queries_.end()) {
+  const HostedQuery* hq = queries_.Hosted(batch.header.query_id);
+  if (hq == nullptr) {
     // Unknown query: drop at ingress, recycling the buffer (as the DES
     // node does).
     pool_.Release(std::move(batch));
@@ -119,7 +118,7 @@ bool ServerPipeline::Push(Batch batch) {
   }
   if (timed) {
     uint64_t stamp_t0 = tel->tracer().NowMicros();
-    stamper_.StampSourceBatch(&batch, now, it->second.graph->num_sources());
+    stamper_.StampSourceBatch(&batch, now, hq->graph->num_sources());
     uint64_t stamp_t1 = tel->tracer().NowMicros();
     telemetry::MetricRegistry& m = tel->metrics();
     m.GetHistogram("infra.server.stamp_us")
@@ -127,7 +126,7 @@ bool ServerPipeline::Push(Batch batch) {
     m.GetHistogram("infra.server.ingest_us")
         ->Observe(static_cast<double>(stamp_t1 - ingest_t0));
   } else {
-    stamper_.StampSourceBatch(&batch, now, it->second.graph->num_sources());
+    stamper_.StampSourceBatch(&batch, now, hq->graph->num_sources());
   }
   ib_.Push(std::move(batch));
   lock.unlock();
@@ -162,15 +161,16 @@ RunStatus ServerPipeline::IngressSlice() {
       n = staged_->size();
       dest_op = staged_->header.dest_op;
     }
-    // queries_ is immutable after Start; safe to read without the lock.
-    auto it = queries_.find(q);
-    if (it == queries_.end()) {
+    // The execution fields of queries_ are immutable after Start; safe to
+    // read without the lock.
+    HostedQuery* hq = queries_.Hosted(q);
+    if (hq == nullptr) {
       std::lock_guard<std::mutex> lock(mu_);
       pool_.Release(std::move(*staged_));
       staged_.reset();
       continue;
     }
-    ExecNode* dest = it->second.by_op[dest_op].get();
+    ExecNode* dest = hq->by_op[dest_op].get();
     if (!dest->input()->TryPush(&*staged_, ingress_.get(), &sched_)) {
       // Downstream full: stay paused with the batch staged. Admission
       // accounting happens only when it actually lands.
@@ -183,13 +183,7 @@ RunStatus ServerPipeline::IngressSlice() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       SimTime now = clock_->NowMicros();
-      auto acc = accepted_.find(q);
-      if (acc == accepted_.end()) {
-        acc = accepted_.emplace(q, Account(options_.stw)).first;
-      }
-      acc->second.tracker.AddResultSic(now, sic);
-      acc->second.total_sic += sic;
-      acc->second.total_tuples += n;
+      hq->Accepted(options_.stw).Add(now, sic, n);
       if (telemetry::Telemetry* tel = telemetry::Get()) {
         // Same seam as Node::ProcessNext's admission accounting, so a
         // kModeled snapshot matches the DES snapshot bit for bit.
@@ -200,14 +194,13 @@ RunStatus ServerPipeline::IngressSlice() {
       interval_tuples_ += n;
       if (options_.accounting == CostAccounting::kModeled) {
         ChargeModeledLocked(static_cast<double>(n) *
-                            it->second.graph->op(dest_op)
-                                ->cost_us_per_tuple() /
+                            hq->graph->op(dest_op)->cost_us_per_tuple() /
                             options_.cpu_speed);
       }
     }
     // Charged wakeups in pump order, mirroring ExecuteBatch's Ingest +
     // PumpGraph pass over the admitted batch's query.
-    for (ExecNode* e : it->second.pump) e->NotifyCharged();
+    for (ExecNode* e : hq->pump) e->NotifyCharged();
   }
   return RunStatus::kMoreWork;
 }
@@ -259,13 +252,10 @@ void ServerPipeline::DeliverResult(QueryId query,
   double sum = 0.0;
   for (const Tuple& t : results) sum += t.sic;
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = results_.find(query);
-  if (it == results_.end()) {
-    it = results_.emplace(query, Account(options_.stw)).first;
-  }
-  it->second.tracker.AddResultSic(now, sum);
-  it->second.total_sic += sum;
-  it->second.total_tuples += results.size();
+  HostedQuery* hq = queries_.Find(query);
+  if (hq == nullptr) return;  // only hosted queries' operators deliver
+  if (!hq->results) hq->results = std::make_unique<SicAccount>(options_.stw);
+  hq->results->Add(now, sum, results.size());
 }
 
 Batch ServerPipeline::AcquireBatch() {
@@ -288,7 +278,7 @@ void ServerPipeline::TickPhase1() {
   }
   // Uncharged window pump, ascending queries, pump order within a query —
   // the same order Node::OnShedTimer runs PumpGraph(hs, nullptr).
-  for (auto& [q, hq] : queries_) {
+  for (HostedQuery& hq : queries_) {
     for (ExecNode* e : hq.pump) e->NotifyUncharged();
   }
 }
@@ -310,22 +300,13 @@ void ServerPipeline::TickPhase2() {
     // Local stand-in for coordinator dissemination (§5.2): feed the result
     // sinks' trailing-STW SIC back into the shedder's query_sic view.
     if (options_.disseminate_sic) {
-      for (auto& [q, acc] : results_) {
-        query_sic_[q] = acc.tracker.QuerySic(now);
+      for (HostedQuery& hq : queries_) {
+        if (hq.results) hq.SetSic(hq.results->tracker.QuerySic(now));
       }
     }
 
     // Per-query efficiency EWMA, exactly as Node::OnShedTimer.
-    for (auto& [q, acc] : accepted_) {
-      double accepted = acc.tracker.QuerySic(now);
-      if (accepted > 0.02) {
-        if (auto it = query_sic_.find(q); it != query_sic_.end()) {
-          double ratio = std::clamp(it->second / accepted, 0.0, 1.2);
-          auto [eff_it, ins] = efficiency_.try_emplace(q, Ewma(0.05));
-          eff_it->second.Update(ratio);
-        }
-      }
-    }
+    queries_.RefreshEfficiency(now);
 
     bool overloaded = detector_.IsOverloaded(ib_.num_tuples(), capacity);
     if (tel != nullptr) {
@@ -334,25 +315,11 @@ void ServerPipeline::TickPhase2() {
       pool_telemetry_.Publish(tel, pool_.stats());
     }
     if (overloaded) {
-      size_t max_qid =
-          queries_.empty()
-              ? 0
-              : static_cast<size_t>(queries_.rbegin()->first) + 1;
-      accepted_snapshot_.assign(max_qid, 0.0);
-      for (auto& [q, acc] : accepted_) {
-        double eff = 1.0;
-        if (auto it = efficiency_.find(q); it != efficiency_.end()) {
-          if (it->second.has_value()) eff = std::max(it->second.value(), 0.05);
-        }
-        if (static_cast<size_t>(q) >= accepted_snapshot_.size()) {
-          accepted_snapshot_.resize(q + 1, 0.0);
-        }
-        accepted_snapshot_[q] = acc.tracker.QuerySic(now) * eff;
-      }
+      queries_.FillShedInputs(now, &query_sic_snapshot_, &accepted_snapshot_);
       ShedContext ctx;
       ctx.capacity_tuples = capacity;
       ctx.now = now;
-      ctx.query_sic = &query_sic_;
+      ctx.query_sic = &query_sic_snapshot_;
       ctx.local_accepted_sic = &accepted_snapshot_;
       std::vector<size_t> keep =
           shedder_->SelectBatchesToKeep(ib_.batches(), ctx);
@@ -457,11 +424,13 @@ void ServerPipeline::EnableCheckpoints(CheckpointStore* store,
 
 void ServerPipeline::RestoreHostedFromStore() {
   if (ckpt_store_ == nullptr) return;
-  for (auto& [q, hq] : queries_) {
+  for (const HostedQuery& hq : queries_) {
+    if (hq.graph == nullptr) continue;
     for (size_t frag = 0; frag < hq.graph->num_fragments(); ++frag) {
       for (OperatorId oid :
            hq.graph->fragment_ops(static_cast<FragmentId>(frag))) {
-        RestoreOrResetOperator(hq.graph->op(oid), q, ckpt_store_);
+        RestoreOrResetOperator(hq.graph->op(oid), hq.graph->id(),
+                               ckpt_store_);
       }
     }
   }
@@ -472,11 +441,12 @@ void ServerPipeline::MaybeCaptureCheckpoints() {
   SimTime now = clock_->NowMicros();
   if (now < ckpt_next_) return;
   ckpt_next_ = now + ckpt_config_.cadence;
-  for (auto& [q, hq] : queries_) {
+  for (const HostedQuery& hq : queries_) {
+    if (hq.graph == nullptr) continue;
     for (size_t frag = 0; frag < hq.graph->num_fragments(); ++frag) {
       for (OperatorId oid :
            hq.graph->fragment_ops(static_cast<FragmentId>(frag))) {
-        MaybeCheckpointOperator(hq.graph->op(oid), q, now,
+        MaybeCheckpointOperator(hq.graph->op(oid), hq.graph->id(), now,
                                 ckpt_config_.error_bound, ckpt_store_);
       }
     }
@@ -495,32 +465,33 @@ size_t ServerPipeline::ib_tuples() const {
 
 double ServerPipeline::AcceptedSic(QueryId q, SimTime now) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = accepted_.find(q);
-  return it == accepted_.end() ? 0.0 : it->second.tracker.QuerySic(now);
+  HostedQuery* hq = queries_.Find(q);
+  return hq == nullptr || !hq->accepted ? 0.0
+                                        : hq->accepted->tracker.QuerySic(now);
 }
 
 double ServerPipeline::AcceptedSicTotal(QueryId q) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = accepted_.find(q);
-  return it == accepted_.end() ? 0.0 : it->second.total_sic;
+  const HostedQuery* hq = queries_.Find(q);
+  return hq == nullptr || !hq->accepted ? 0.0 : hq->accepted->total_sic;
 }
 
 uint64_t ServerPipeline::AcceptedTuplesTotal(QueryId q) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = accepted_.find(q);
-  return it == accepted_.end() ? 0 : it->second.total_tuples;
+  const HostedQuery* hq = queries_.Find(q);
+  return hq == nullptr || !hq->accepted ? 0 : hq->accepted->total_tuples;
 }
 
 double ServerPipeline::ResultSicTotal(QueryId q) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = results_.find(q);
-  return it == results_.end() ? 0.0 : it->second.total_sic;
+  const HostedQuery* hq = queries_.Find(q);
+  return hq == nullptr || !hq->results ? 0.0 : hq->results->total_sic;
 }
 
 uint64_t ServerPipeline::ResultTuplesTotal(QueryId q) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = results_.find(q);
-  return it == results_.end() ? 0 : it->second.total_tuples;
+  const HostedQuery* hq = queries_.Find(q);
+  return hq == nullptr || !hq->results ? 0 : hq->results->total_tuples;
 }
 
 }  // namespace themis

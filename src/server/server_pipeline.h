@@ -19,7 +19,6 @@
 #define THEMIS_SERVER_SERVER_PIPELINE_H_
 
 #include <condition_variable>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -29,6 +28,7 @@
 #include "common/stats.h"
 #include "common/time_types.h"
 #include "node/input_buffer.h"
+#include "node/query_row.h"
 #include "node/sic_stamper.h"
 #include "node/telemetry_hooks.h"
 #include "runtime/batch_pool.h"
@@ -174,19 +174,17 @@ class ServerPipeline : private ServerSite {
  private:
   class IngressTask;
 
-  struct Account {
-    explicit Account(SimDuration stw) : tracker(stw) {}
-    StwTracker tracker;
-    double total_sic = 0.0;
-    uint64_t total_tuples = 0;
-  };
-  struct HostedQuery {
-    const QueryGraph* graph = nullptr;
+  /// Per-query row (see node/query_row.h). The execution fields are
+  /// written only before Start and read without the lock; the accounting
+  /// fields are guarded by mu_.
+  struct HostedQuery : QueryRow {
     /// Execution nodes indexed by OperatorId.
     std::vector<std::unique_ptr<ExecNode>> by_op;
     /// Pump order: fragments ascending, topological within a fragment
     /// (matches Node::HostFragment).
     std::vector<ExecNode*> pump;
+    /// Result SIC delivered by the root operator, from the first result on.
+    std::unique_ptr<SicAccount> results;
   };
 
   // ServerSite interface (thread-safe; called from task slices).
@@ -227,10 +225,8 @@ class ServerPipeline : private ServerSite {
   BatchPool pool_;
   CostModel cost_model_;
   OverloadDetector detector_;
-  std::map<QueryId, double> query_sic_;
-  std::map<QueryId, Account> accepted_;
-  std::map<QueryId, Account> results_;
-  std::map<QueryId, Ewma> efficiency_;
+  /// Reused per overloaded shed tick; indexed by QueryId (see ShedContext).
+  std::vector<double> query_sic_snapshot_;
   std::vector<double> accepted_snapshot_;
   /// Cached per-query telemetry counters; all writers hold mu_.
   QueryTelemetry query_telemetry_;
@@ -245,7 +241,9 @@ class ServerPipeline : private ServerSite {
   std::optional<Batch> staged_;
   ServerStats stats_;
 
-  std::map<QueryId, HostedQuery> queries_;
+  /// Hosted queries, indexed by QueryId. Rows are created by AddQuery only,
+  /// so the table never grows after Start.
+  QueryTable<HostedQuery> queries_;
   std::unique_ptr<IngressTask> ingress_;
 
   /// Checkpoint seam (EnableCheckpoints); null = off, the default.

@@ -12,24 +12,19 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // q''_SIC != q'_SIC condition of Alg. 1 line 14.
 constexpr double kSicEps = 1e-12;
 
-// Stable insertion sort by descending batch SIC (FIFO order breaks ties).
-// Candidate lists are small; this avoids std::stable_sort's per-call buffer
-// allocation and — stability being a unique ordering — produces exactly the
-// permutation std::stable_sort would.
-void SortBySicDesc(std::vector<size_t>* idxs, const std::deque<Batch>& ib) {
-  for (size_t i = 1; i < idxs->size(); ++i) {
-    size_t idx = (*idxs)[i];
-    double sic = ib[idx].header.sic;
-    size_t j = i;
-    while (j > 0 && ib[(*idxs)[j - 1]].header.sic < sic) {
-      (*idxs)[j] = (*idxs)[j - 1];
-      --j;
-    }
-    (*idxs)[j] = idx;
-  }
-}
-
 }  // namespace
+
+// (sic, index) keys make the order total, so an unstable O(n log n) sort
+// reproduces the stable order without std::stable_sort's per-call buffer.
+void SortBySicDesc(std::vector<size_t>* idxs, const std::deque<Batch>& ib,
+                   std::vector<std::pair<double, size_t>>* keys) {
+  keys->clear();
+  for (size_t idx : *idxs) keys->emplace_back(ib[idx].header.sic, idx);
+  std::sort(keys->begin(), keys->end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first > b.first : a.second < b.second;
+  });
+  for (size_t k = 0; k < keys->size(); ++k) (*idxs)[k] = (*keys)[k].second;
+}
 
 // Performance note: this runs every shedding interval over the whole input
 // buffer and dominated profiles as a std::map-based implementation. The flat
@@ -74,10 +69,9 @@ std::vector<size_t> BalanceSicShedder::SelectBatchesToKeep(
     QueryState& st = *st_it;
     const QueryId q = st.query;
     double disseminated = 0.0;
-    if (ctx.query_sic != nullptr) {
-      if (auto it = ctx.query_sic->find(q); it != ctx.query_sic->end()) {
-        disseminated = it->second;
-      }
+    if (ctx.query_sic != nullptr &&
+        static_cast<size_t>(q) < ctx.query_sic->size()) {
+      disseminated = (*ctx.query_sic)[q];
     }
     if (options_.project_local_shedding) {
       double in_buffer = 0.0;
@@ -97,7 +91,7 @@ std::vector<size_t> BalanceSicShedder::SelectBatchesToKeep(
     }
     if (options_.prefer_high_sic) {
       // max(x_SIC): highest-SIC batches first; FIFO order breaks SIC ties.
-      SortBySicDesc(&st.batches, ib);
+      SortBySicDesc(&st.batches, ib, &sort_keys_);
     }
 
     // Bucket by operator window, order buckets by SIC mass (max(x_SIC) at

@@ -10,6 +10,7 @@
 #define THEMIS_SHEDDING_BALANCE_SIC_SHEDDER_H_
 
 #include <cstdint>
+#include <deque>
 #include <utility>
 #include <vector>
 
@@ -43,6 +44,13 @@ struct BalanceSicOptions {
   /// 0 disables grouping.
   SimDuration window_group = kSecond;
 };
+
+/// Orders candidate batch indices into `ib` best-first for the max(x_SIC)
+/// rule: descending batch SIC, FIFO (ascending index) order breaking ties.
+/// `idxs` must arrive ascending; `keys` is caller-owned scratch. The result
+/// is exactly the permutation a stable sort by descending SIC gives.
+void SortBySicDesc(std::vector<size_t>* idxs, const std::deque<Batch>& ib,
+                   std::vector<std::pair<double, size_t>>* keys);
 
 /// \brief Water-filling batch selection that equalises query result SIC.
 ///
@@ -91,6 +99,8 @@ class BalanceSicShedder : public Shedder {
   size_t per_source_used_ = 0;
   std::vector<std::pair<double, int64_t>> bucket_order_;
   std::vector<size_t> flattened_;
+  // (sic, index) keys of the best-first candidate sort.
+  std::vector<std::pair<double, size_t>> sort_keys_;
   // All states' projected SIC values, kept sorted during the acceptance
   // loop so the q'' target level is an upper_bound instead of a scan.
   std::vector<double> sorted_sic_;

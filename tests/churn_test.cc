@@ -98,6 +98,56 @@ TEST_F(ChurnTest, CrashWithInFlightBatchesReplacesAndDrains) {
   EXPECT_EQ(fsps_->node(node1_)->input_buffer().num_batches(), 0u);
 }
 
+TEST_F(ChurnTest, SourceRoutingFollowsThePlacement) {
+  // A one-fragment query on node1 alone: every batch node0 ever receives is
+  // one node1 would have received had the placement not moved.
+  AggregateQueryOptions ao;
+  ao.source_rate = 50;
+  BuiltQuery built = factory_.MakeAvg(1, ao);
+  ASSERT_TRUE(fsps_->Deploy(std::move(built.graph), {{0, node1_}}).ok());
+  ASSERT_TRUE(fsps_->AttachSources(1, built.sources).ok());
+  fsps_->RunFor(Seconds(3));
+  const Node* n0 = fsps_->node(node0_);
+  const Node* n1 = fsps_->node(node1_);
+  ASSERT_GT(n1->stats().batches_received, 0u);
+  ASSERT_EQ(n0->stats().batches_received, 0u);
+
+  ASSERT_TRUE(fsps_->CrashNode(node1_).ok());
+  EXPECT_EQ(n0->HostedQueries(), (std::vector<QueryId>{1}));
+  // One link latency later, everything sent before the crash has landed
+  // (dead on node1's doorstep) and the batches generated since reach the
+  // new host.
+  fsps_->RunFor(Seconds(1));
+  EXPECT_GT(n0->stats().batches_received, 0u);
+  const uint64_t dead = n1->stats().batches_dropped_dead;
+  const uint64_t received0 = n0->stats().batches_received;
+  fsps_->RunFor(Seconds(2));
+  EXPECT_GT(n0->stats().batches_received, received0);
+  // The crashed node is routed nothing more.
+  EXPECT_EQ(n1->stats().batches_dropped_dead, dead);
+
+  ASSERT_TRUE(fsps_->Undeploy(1).ok());
+  fsps_->RunFor(Seconds(1));  // drains what was already on the wire
+  const uint64_t messages = fsps_->network()->messages_sent();
+  const uint64_t received_after = n0->stats().batches_received;
+  // A late batch of the departed query (or of no query at all) routes
+  // nowhere.
+  fsps_->RouteBatch(kInvalidId, 1, 0, MakeBatch(1, 0, 0, fsps_->now(), {}));
+  fsps_->RouteBatch(kInvalidId, 99, 0, MakeBatch(99, 0, 0, fsps_->now(), {}));
+  fsps_->RouteBatch(kInvalidId, -1, 0, MakeBatch(-1, 0, 0, fsps_->now(), {}));
+  fsps_->RunFor(Seconds(3));
+  EXPECT_EQ(fsps_->network()->messages_sent(), messages);
+  EXPECT_EQ(n0->stats().batches_received, received_after);
+  EXPECT_EQ(n1->stats().batches_dropped_dead, dead);
+}
+
+TEST_F(ChurnTest, DeployRejectsNegativeQueryId) {
+  BuiltQuery built = factory_.MakeAvg(-3);
+  EXPECT_TRUE(
+      fsps_->Deploy(std::move(built.graph), {{0, node0_}}).IsInvalidArgument());
+  EXPECT_TRUE(fsps_->query_ids().empty());
+}
+
 TEST_F(ChurnTest, CrashOfCoordinatorHomeMovesIt) {
   ASSERT_TRUE(DeployCov(1).ok());
   fsps_->RunFor(Millis(3370));

@@ -13,11 +13,13 @@
 #include "common/alloc_counter.h"
 #include "common/function.h"
 #include "federation/fsps.h"
+#include "node/node.h"
 #include "runtime/batch_pool.h"
 #include "runtime/schema.h"
 #include "runtime/string_pool.h"
 #include "runtime/tuple.h"
 #include "runtime/value.h"
+#include "sim/event_queue.h"
 #include "workload/workloads.h"
 
 namespace themis {
@@ -241,6 +243,34 @@ TEST(UniqueFunctionTest, DestroysTargetExactlyOnce) {
     g();
   }
   EXPECT_EQ(dtors, 1);
+}
+
+TEST(UniqueFunctionTest, NetworkDeliveryRunsWithoutAllocating) {
+  // Every simulated network message is a BatchDelivery event. It must fit
+  // the inline buffer: a heap-stored callable would cost one allocation per
+  // delivered batch.
+  ForceLinkAllocCounter();
+  ASSERT_TRUE(AllocCounter::active());
+  static_assert(sizeof(BatchDelivery) <= UniqueFunction::kInlineSize);
+
+  Fsps fsps;
+  Node* node = fsps.node(fsps.AddNode());
+  EventQueue queue;
+  auto deliver_once = [&] {
+    Batch b = node->batch_pool()->Acquire();
+    b.header.query_id = 7;  // hosted nowhere: dropped at ingress, recycled
+    for (int i = 0; i < 4; ++i) {
+      b.tuples.push_back(Tuple(0, 0.0, {Value(1.0)}));
+    }
+    queue.Schedule(queue.now(), BatchDelivery{node, std::move(b)});
+    queue.RunUntil(queue.now());
+  };
+  deliver_once();  // warms the pool's free list and the queue's slab
+
+  uint64_t before = AllocCounter::allocations();
+  deliver_once();
+  EXPECT_EQ(AllocCounter::allocations() - before, 0u);
+  EXPECT_EQ(node->stats().batches_received, 2u);
 }
 
 // ---------------------------------------------------------------------------

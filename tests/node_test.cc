@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 
 #include "node/node.h"
 #include "runtime/operators/aggregates.h"
@@ -170,7 +171,33 @@ TEST_F(NodeTest, UpdateQuerySicIsVisibleToShedder) {
   Node& node = MakeNode();
   node.HostFragment(graph.get(), 0);
   node.UpdateQuerySic(1, 0.75);
-  EXPECT_DOUBLE_EQ(node.known_query_sic().at(1), 0.75);
+  EXPECT_DOUBLE_EQ(node.KnownQuerySic(1).value(), 0.75);
+}
+
+TEST_F(NodeTest, UnhostResetsTheQueryRow) {
+  auto graph = MakeAvgGraph(1, 10);
+  Node& node = MakeNode();
+  node.HostFragment(graph.get(), 0);
+  node.Start();
+  node.UpdateQuerySic(1, 0.6);
+  for (int i = 0; i < 10; ++i) {
+    queue_.Schedule(Millis(100) * i, [&] {
+      node.Receive(SourceBatch(1, 10, 0, queue_.now(), 10, 1.0));
+    });
+  }
+  queue_.RunUntil(Seconds(2));
+  ASSERT_GT(node.AcceptedSicTotal(1), 0.0);
+  ASSERT_EQ(node.KnownQuerySic(1), std::optional<double>(0.6));
+
+  // A re-hosted query starts from an empty row: no disseminated SIC, no
+  // admission history.
+  node.UnhostQuery(1);
+  node.HostFragment(graph.get(), 0);
+  EXPECT_FALSE(node.KnownQuerySic(1).has_value());
+  EXPECT_EQ(node.AcceptedSicTotal(1), 0.0);
+  EXPECT_EQ(node.AcceptedTuplesTotal(1), 0u);
+  EXPECT_EQ(node.AcceptedSic(1, queue_.now()), 0.0);
+  EXPECT_EQ(node.HostedQueries(), (std::vector<QueryId>{1}));
 }
 
 TEST_F(NodeTest, HostedQueriesListsDeployments) {

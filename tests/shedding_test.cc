@@ -3,6 +3,7 @@
 // scenario of the paper.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <set>
 
@@ -200,7 +201,7 @@ TEST(BalanceSicShedderTest, FavoursTheMostDegradedQuery) {
   std::deque<Batch> ib;
   for (int i = 0; i < 10; ++i) ib.push_back(B1(1, 0.02));
   for (int i = 0; i < 10; ++i) ib.push_back(B1(2, 0.02));
-  std::map<QueryId, double> qsic = {{1, 0.5}, {2, 0.0}};
+  std::vector<double> qsic = {0.0, 0.5, 0.0};  // indexed by QueryId
   BalanceSicOptions opts;
   opts.project_local_shedding = false;  // use disseminated values directly
   BalanceSicShedder shedder(Rng(1), opts);
@@ -220,7 +221,7 @@ TEST(BalanceSicShedderTest, ProjectionSubtractsBufferedSic) {
   std::deque<Batch> ib;
   for (int i = 0; i < 10; ++i) ib.push_back(B1(1, 0.02));
   for (int i = 0; i < 10; ++i) ib.push_back(B1(2, 0.02));
-  std::map<QueryId, double> qsic = {{1, 0.2}, {2, 0.0}};
+  std::vector<double> qsic = {0.0, 0.2, 0.0};  // indexed by QueryId
   BalanceSicShedder shedder(Rng(1));  // projection on by default
   ShedContext ctx;
   ctx.capacity_tuples = 10;
@@ -228,6 +229,34 @@ TEST(BalanceSicShedderTest, ProjectionSubtractsBufferedSic) {
   auto keep = shedder.SelectBatchesToKeep(ib, ctx);
   auto kept = KeptSicPerQuery(ib, keep);
   EXPECT_NEAR(kept[1], kept[2], 0.021);  // within one tuple of each other
+}
+
+TEST(BalanceSicShedderTest, SicSortMatchesStableSortReference) {
+  // Random candidate subsets over a few SIC levels, so most lists hold long
+  // runs of equal SICs: the best-first order must be exactly the stable
+  // descending-SIC order (FIFO among equals) on every one.
+  Rng rng(2024);
+  std::vector<std::pair<double, size_t>> keys;
+  for (int trial = 0; trial < 300; ++trial) {
+    std::deque<Batch> ib;
+    const int64_t n = rng.UniformInt(0, 200);
+    const int64_t levels = rng.UniformInt(1, 6);
+    for (int64_t i = 0; i < n; ++i) {
+      ib.push_back(B1(1, 0.01 * static_cast<double>(
+                             rng.UniformInt(0, levels - 1))));
+    }
+    std::vector<size_t> idxs;
+    for (size_t i = 0; i < ib.size(); ++i) {
+      if (rng.UniformInt(0, 3) != 0) idxs.push_back(i);
+    }
+    std::vector<size_t> expected = idxs;
+    std::stable_sort(expected.begin(), expected.end(),
+                     [&ib](size_t a, size_t b) {
+                       return ib[a].header.sic > ib[b].header.sic;
+                     });
+    SortBySicDesc(&idxs, ib, &keys);
+    ASSERT_EQ(idxs, expected) << "trial " << trial;
+  }
 }
 
 TEST(BalanceSicShedderTest, EmptyBufferAndZeroCapacity) {
