@@ -20,14 +20,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "bench/perf.h"
-#include "node/node.h"
 #include "runtime/clock.h"
 #include "runtime/operators/aggregates.h"
 #include "runtime/operators/receiver.h"
@@ -35,7 +33,6 @@
 #include "server/server_pipeline.h"
 #include "shedding/balance_sic_shedder.h"
 #include "shedding/random_shedder.h"
-#include "sim/event_queue.h"
 
 namespace themis {
 namespace bench {
@@ -244,115 +241,57 @@ void RunOverload(PerfRecorder& perf, bool quick, bool balance) {
 // Config 3: oracle self-check against the discrete-event Node.
 // ---------------------------------------------------------------------
 
-// Pinned scenario; see tests/server_oracle_test.cc for why these constants
-// make DES/server equality exact (integral modeled work, per-batch work
-// under the shed interval, arrival periods coprime with the tick grid).
-constexpr double kOracleCpuSpeed = 0.01;
-constexpr int kOracleQueries = 4;
-constexpr SimDuration kOraclePeriods[kOracleQueries] = {Millis(13), Millis(17),
-                                                        Millis(19), Millis(23)};
-
-std::vector<TimedBatch> MakeOracleArrivals(SimTime horizon) {
-  std::vector<TimedBatch> arrivals;
-  for (SimTime t = 0; t <= horizon; t += Millis(1)) {
-    for (int q = 0; q < kOracleQueries; ++q) {
-      if (t % kOraclePeriods[q] != 0) continue;
-      arrivals.push_back(TimedBatch{t, SourceBatch(q, 10 + q, t, 100)});
-    }
-  }
-  return arrivals;
-}
-
-class NullRouter : public BatchRouter {
- public:
-  void RouteBatch(NodeId, QueryId, FragmentId, Batch) override {}
-  void DeliverResult(QueryId, SimTime, const std::vector<Tuple>&) override {}
-};
-
+// The pinned scenario of server/oracle_driver.h, both runtimes over the
+// same graph objects.
 int RunOracle(PerfRecorder& perf, bool quick) {
-  const SimTime kHorizon = quick ? Millis(1600) : Millis(3200);
-
-  std::vector<std::unique_ptr<QueryGraph>> graphs;
-  for (int q = 0; q < kOracleQueries; ++q) {
-    graphs.push_back(MakeAvgGraph(q, 10 + q));
-  }
+  const SimTime kHorizon = quick ? Millis(1600) : kOracleHorizon;
+  OracleGraphs graphs = MakeOracleGraphs();
 
   perf.BeginRun("oracle");
-  EventQueue queue;
-  NullRouter router;
-  NodeOptions node_options;
-  node_options.cpu_speed = kOracleCpuSpeed;
-  Node node(0, node_options, &queue, &router,
-            std::make_unique<BalanceSicShedder>(Rng(7)));
-  for (const auto& g : graphs) node.HostFragment(g.get(), 0);
-  node.Start();
-  std::vector<TimedBatch> des_arrivals = MakeOracleArrivals(kHorizon);
-  for (TimedBatch& a : des_arrivals) {
-    Batch* b = &a.batch;
-    queue.Schedule(a.at, [&node, b] { node.Receive(std::move(*b)); });
-  }
-  queue.RunUntil(kHorizon);
-
-  ManualClock clock;
-  ServerOptions opts;
-  opts.workers = 0;
-  opts.cpu_speed = kOracleCpuSpeed;
-  opts.accounting = CostAccounting::kModeled;
-  opts.pace_admission = true;
-  opts.disseminate_sic = false;
-  opts.channel_capacity = 1 << 20;
-  ServerPipeline pipeline(opts, &clock,
-                          std::make_unique<BalanceSicShedder>(Rng(7)));
-  for (const auto& g : graphs) pipeline.AddQuery(g.get());
-  pipeline.Start();
-  std::vector<TimedBatch> arrivals = MakeOracleArrivals(kHorizon);
-  DriveDeterministic(&pipeline, &clock, &arrivals, kHorizon);
-  pipeline.Stop();
-  perf.EndRun(pipeline.stats().tuples_processed);
+  OracleRun des = RunOracleDes(graphs, kHorizon);
+  OracleRun server = RunOracleServer(graphs, /*workers=*/0, kHorizon);
+  perf.EndRun(server.stats.tuples_processed);
 
   int mismatches = 0;
   for (int q = 0; q < kOracleQueries; ++q) {
-    if (pipeline.AcceptedTuplesTotal(q) != node.AcceptedTuplesTotal(q) ||
-        pipeline.AcceptedSicTotal(q) != node.AcceptedSicTotal(q)) {
+    if (server.accepted_tuples[q] != des.accepted_tuples[q] ||
+        server.accepted_sic[q] != des.accepted_sic[q]) {
       std::fprintf(stderr,
                    "oracle MISMATCH query %d: server %llu tuples "
                    "(sic %.17g) vs DES %llu tuples (sic %.17g)\n",
                    q,
-                   static_cast<unsigned long long>(
-                       pipeline.AcceptedTuplesTotal(q)),
-                   pipeline.AcceptedSicTotal(q),
-                   static_cast<unsigned long long>(node.AcceptedTuplesTotal(q)),
-                   node.AcceptedSicTotal(q));
+                   static_cast<unsigned long long>(server.accepted_tuples[q]),
+                   server.accepted_sic[q],
+                   static_cast<unsigned long long>(des.accepted_tuples[q]),
+                   des.accepted_sic[q]);
       ++mismatches;
     }
   }
-  if (pipeline.stats().tuples_processed != node.stats().tuples_processed ||
-      pipeline.stats().tuples_shed != node.stats().tuples_shed ||
-      pipeline.stats().shed_invocations != node.stats().shed_invocations) {
+  const SiteStats& s = server.stats;
+  const SiteStats& d = des.stats;
+  if (s.tuples_processed != d.tuples_processed ||
+      s.tuples_shed != d.tuples_shed ||
+      s.shed_invocations != d.shed_invocations) {
     std::fprintf(stderr,
                  "oracle MISMATCH totals: server %llu/%llu/%llu vs "
                  "DES %llu/%llu/%llu (processed/shed/invocations)\n",
-                 static_cast<unsigned long long>(
-                     pipeline.stats().tuples_processed),
-                 static_cast<unsigned long long>(pipeline.stats().tuples_shed),
-                 static_cast<unsigned long long>(
-                     pipeline.stats().shed_invocations),
-                 static_cast<unsigned long long>(
-                     node.stats().tuples_processed),
-                 static_cast<unsigned long long>(node.stats().tuples_shed),
-                 static_cast<unsigned long long>(
-                     node.stats().shed_invocations));
+                 static_cast<unsigned long long>(s.tuples_processed),
+                 static_cast<unsigned long long>(s.tuples_shed),
+                 static_cast<unsigned long long>(s.shed_invocations),
+                 static_cast<unsigned long long>(d.tuples_processed),
+                 static_cast<unsigned long long>(d.tuples_shed),
+                 static_cast<unsigned long long>(d.shed_invocations));
     ++mismatches;
   }
-  if (node.stats().tuples_shed == 0) {
+  if (d.tuples_shed == 0) {
     std::fprintf(stderr, "oracle scenario did not shed: not a valid check\n");
     ++mismatches;
   }
   perf.AddMetric("oracle_match", mismatches == 0 ? 1.0 : 0.0);
   std::printf("oracle: %s (processed=%llu shed=%llu)\n",
               mismatches == 0 ? "server == DES, bit for bit" : "MISMATCH",
-              static_cast<unsigned long long>(node.stats().tuples_processed),
-              static_cast<unsigned long long>(node.stats().tuples_shed));
+              static_cast<unsigned long long>(d.tuples_processed),
+              static_cast<unsigned long long>(d.tuples_shed));
   return mismatches;
 }
 

@@ -13,11 +13,7 @@ Node::Node(NodeId id, NodeOptions options, EventQueue* queue,
       options_(options),
       queue_(queue),
       router_(router),
-      shedder_(std::move(shedder)),
-      detector_(options.headroom),
-      stamper_(options.stw) {
-  ib_.set_pool(&pool_);
-}
+      site_(options, std::move(shedder), &hosted_) {}
 
 void Node::HostFragment(const QueryGraph* graph, FragmentId fragment) {
   HostedState& hs = hosted_.Get(graph->id());
@@ -42,8 +38,7 @@ void Node::HostFragment(const QueryGraph* graph, FragmentId fragment) {
 
 void Node::UnhostQuery(QueryId q) {
   hosted_.Reset(q);
-  stamper_.RemoveQuery(q);
-  ib_.RemoveQuery(q);
+  site_.RemoveQuery(q);
 }
 
 void Node::ArmShedTimer(SimTime at) {
@@ -86,7 +81,7 @@ void Node::Crash() {
   // The input buffer drains straight back to the pool: in-flight state dies
   // with the node, but its buffers recycle (nothing leaks, nothing is
   // double-released — a popped batch is never in the buffer).
-  stats_.tuples_dropped_dead += ib_.Clear();
+  site_.stats().tuples_dropped_dead += site_.ib().Clear();
 }
 
 void Node::Restore() {
@@ -97,55 +92,26 @@ void Node::Restore() {
   }
 }
 
-SimTime Node::Watermark() const {
-  // Windows may close `window_grace` behind the clock, but never past the
-  // creation time of the oldest batch still queued: under overload the
-  // input buffer holds up to a couple of shedding intervals of data, and
-  // closing a window while one input stream's batches for it are still
-  // queued would systematically starve multi-input operators.
-  SimTime wm = queue_->now() - options_.window_grace;
-  if (!ib_.empty()) {
-    wm = std::min(wm, ib_.batches().front().header.created);
-  }
-  return wm;
-}
-
 void Node::Receive(Batch batch) {
   if (!alive_) {
     // Crashed: the delivery dies on the doorstep. Not counted as received —
     // a dead node observes nothing — but the buffer still recycles.
-    stats_.batches_dropped_dead += 1;
-    stats_.tuples_dropped_dead += batch.size();
-    pool_.Release(std::move(batch));
+    site_.stats().batches_dropped_dead += 1;
+    site_.stats().tuples_dropped_dead += batch.size();
+    site_.pool().Release(std::move(batch));
     return;
   }
   SimTime now = queue_->now();
-  stats_.batches_received += 1;
-  stats_.tuples_received += batch.size();
-
   HostedState* hs = hosted_.Hosted(batch.header.query_id);
-  if (hs == nullptr) {
-    // Unknown query: either never hosted here or undeployed while this
-    // batch was in flight. Drop at ingress (recycling the buffer).
-    pool_.Release(std::move(batch));
-    return;
-  }
-
-  // Source batches carry unstamped tuples; apply Eq. (1) using the online
-  // rate estimate for this (query, source) pair (§6 "SIC maintenance").
-  stamper_.StampSourceBatch(&batch, now, hs->graph->num_sources());
-
   // Offered-load accounting (before admission: shed tuples still count —
   // the placement signal should see demand, not the shedder's verdict).
-  if (options_.track_arrivals) {
+  if (hs != nullptr && options_.track_arrivals) {
     if (!hs->arrivals) {
       hs->arrivals = std::make_unique<StwTracker>(options_.stw);
     }
     hs->arrivals->AddResultSic(now, static_cast<double>(batch.size()));
   }
-
-  ib_.Push(std::move(batch));
-  ScheduleProcessing();
+  if (site_.Ingest(std::move(batch), now, hs)) ScheduleProcessing();
 }
 
 void Node::UpdateQuerySic(QueryId query, double sic) {
@@ -159,9 +125,7 @@ std::optional<double> Node::KnownQuerySic(QueryId q) const {
   return row->sic;
 }
 
-size_t Node::CurrentCapacity() const {
-  return cost_model_.EstimateCapacity(options_.shed_interval);
-}
+size_t Node::CurrentCapacity() const { return site_.EstimateCapacity(); }
 
 double Node::AcceptedSic(QueryId q, SimTime now) {
   HostedState* row = hosted_.Find(q);
@@ -178,7 +142,7 @@ double Node::ArrivalTuplesStw(QueryId q, SimTime now) {
 double Node::OfferedLoadUs(QueryId q, SimTime now) {
   // PerTupleUs() is measured from interval busy time, which already folds
   // in cpu_speed — the product is simulated processing-µs directly.
-  return ArrivalTuplesStw(q, now) * cost_model_.PerTupleUs();
+  return ArrivalTuplesStw(q, now) * site_.cost_model().PerTupleUs();
 }
 
 double Node::OfferedLoadUs(SimTime now) {
@@ -186,7 +150,7 @@ double Node::OfferedLoadUs(SimTime now) {
   for (HostedState& row : hosted_) {
     if (row.arrivals) total += row.arrivals->RawSum(now);
   }
-  return total * cost_model_.PerTupleUs();
+  return total * site_.cost_model().PerTupleUs();
 }
 
 double Node::AcceptedSicTotal(QueryId q) const {
@@ -208,7 +172,7 @@ std::vector<QueryId> Node::HostedQueries() const {
 }
 
 void Node::ScheduleProcessing() {
-  if (processing_scheduled_ || ib_.empty()) return;
+  if (processing_scheduled_ || site_.ib().empty()) return;
   processing_scheduled_ = true;
   SimTime at = std::max(queue_->now(), busy_until_);
   processing_at_ = at;
@@ -224,27 +188,15 @@ void Node::ProcessNext(uint64_t gen) {
     ScheduleProcessing();
     return;
   }
-  std::optional<Batch> batch = ib_.Pop();
+  std::optional<Batch> batch = site_.ib().Pop();
   if (!batch) return;
 
-  QueryId batch_query = batch->header.query_id;
-  hosted_.Get(batch_query)
-      .Accepted(options_.stw)
-      .Add(now, batch->header.sic, batch->size());
-  if (telemetry::Telemetry* tel = telemetry::Get()) {
-    query_telemetry_.RecordAccepted(tel, batch_query, batch->header.sic,
-                                    batch->size());
-  }
-
-  double work_us = ExecuteBatch(*batch);
-  SimDuration work = static_cast<SimDuration>(work_us);
+  QueryId q = batch->header.query_id;
+  site_.Admit(hosted_.Get(q), q, now, batch->header.sic, batch->size());
+  SimDuration work = static_cast<SimDuration>(ExecuteBatch(*batch));
   busy_until_ = now + work;
-  stats_.busy_time += work;
-  interval_busy_ += work;
-  stats_.batches_processed += 1;
-  stats_.tuples_processed += batch->size();
-  interval_tuples_ += batch->size();
-  pool_.Release(std::move(*batch));
+  site_.ChargeBusy(work);
+  site_.pool().Release(std::move(*batch));
 
   ScheduleProcessing();
 }
@@ -294,7 +246,7 @@ double Node::ExecuteBatch(const Batch& batch) {
 
 void Node::PumpGraph(const HostedState& hs, double* work_us) {
   const QueryGraph* graph = hs.graph;
-  SimTime wm = Watermark();
+  SimTime wm = site_.Watermark(queue_->now());
   // pump_ops stores hosted fragments' operators topologically, so one pass
   // suffices for chains within a fragment: upstream emissions are ingested
   // (and re-advanced) before downstream operators are visited.
@@ -339,7 +291,7 @@ void Node::RouteOutputs(const HostedState& hs, OperatorId op,
 
 Batch Node::BuildBatch(QueryId query, OperatorId op, int port, SimTime created,
                        const std::vector<Tuple>& tuples) {
-  Batch b = pool_.Acquire();
+  Batch b = site_.pool().Acquire();
   b.header.query_id = query;
   b.header.dest_op = op;
   b.header.dest_port = port;
@@ -357,17 +309,10 @@ void Node::OnShedTimer(uint64_t gen) {
     return;
   }
   SimTime now = queue_->now();
-  stats_.detector_invocations += 1;
-  telemetry::Telemetry* tel = telemetry::Get();
   telemetry::TraceScope span("node.shed_tick");
-
-  // Feed the cost model with the last interval's measurements (§6).
-  cost_model_.RecordInterval(interval_tuples_, interval_busy_);
-  interval_tuples_ = 0;
-  interval_busy_ = 0;
+  site_.RollInterval();
 
   // Close windows that became due even if no batch arrived lately.
-  // (Ascending query order, as the former map iteration did.)
   for (const HostedState& hs : hosted_) {
     if (hs.graph != nullptr) PumpGraph(hs, nullptr);
   }
@@ -387,39 +332,11 @@ void Node::OnShedTimer(uint64_t gen) {
     }
   }
 
-  size_t capacity = cost_model_.EstimateCapacity(options_.shed_interval);
-  stats_.last_capacity = capacity;
-
-  // Refresh per-query efficiency estimates (result SIC per accepted SIC).
-  hosted_.RefreshEfficiency(now);
-
-  bool overloaded = detector_.IsOverloaded(ib_.num_tuples(), capacity);
-  if (tel != nullptr) {
-    RecordShedTick(tel, ib_.num_tuples(), capacity, overloaded);
-    pool_telemetry_.Publish(tel, pool_.stats());
-    if (ckpt_config_.enabled) ckpt_telemetry_.Publish(tel, ckpt_store_);
+  site_.DetectAndShed(now, site_.EstimateCapacity());
+  telemetry::Telemetry* tel = telemetry::Get();
+  if (tel != nullptr && ckpt_config_.enabled) {
+    ckpt_telemetry_.Publish(tel, ckpt_store_);
   }
-  if (overloaded) {
-    hosted_.FillShedInputs(now, &query_sic_snapshot_, &accepted_snapshot_);
-    ShedContext ctx;
-    ctx.capacity_tuples = capacity;
-    ctx.now = now;
-    ctx.query_sic = &query_sic_snapshot_;
-    ctx.local_accepted_sic = &accepted_snapshot_;
-    std::vector<size_t> keep =
-        shedder_->SelectBatchesToKeep(ib_.batches(), ctx);
-    if (tel != nullptr) {
-      RecordShedDrops(tel, &query_telemetry_, ib_.batches(), keep);
-    }
-    size_t before_batches = ib_.num_batches();
-    size_t dropped = ib_.RetainIndices(keep);
-    if (dropped > 0) {
-      stats_.shed_invocations += 1;
-      stats_.tuples_shed += dropped;
-      stats_.batches_shed += before_batches - ib_.num_batches();
-    }
-  }
-
   ArmShedTimer(now + options_.shed_interval);
 }
 

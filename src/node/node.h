@@ -1,6 +1,6 @@
-// A THEMIS node (Fig. 5): input buffer, operator executor, overload detector
-// and tuple shedder, driven by the discrete-event queue. One Node models one
-// autonomous FSPS site (§3).
+// A THEMIS node (Fig. 5): the operator executor around a ShedController
+// (input buffer, overload detector, tuple shedder), driven by the
+// discrete-event queue. One Node models one autonomous FSPS site (§3).
 #ifndef THEMIS_NODE_NODE_H_
 #define THEMIS_NODE_NODE_H_
 
@@ -10,15 +10,11 @@
 #include <vector>
 
 #include "common/time_types.h"
-#include "node/input_buffer.h"
 #include "node/query_row.h"
-#include "node/sic_stamper.h"
+#include "node/shed_controller.h"
 #include "node/telemetry_hooks.h"
-#include "runtime/batch_pool.h"
 #include "runtime/checkpoint.h"
 #include "runtime/query_graph.h"
-#include "shedding/cost_model.h"
-#include "shedding/overload_detector.h"
 #include "shedding/shedder.h"
 #include "sic/stw_tracker.h"
 #include "sim/event_queue.h"
@@ -40,20 +36,7 @@ class BatchRouter {
 };
 
 /// Node configuration; defaults reproduce the paper's settings (§7).
-struct NodeOptions {
-  /// Tuple shedder invocation period (paper default: 250 ms).
-  SimDuration shed_interval = Millis(250);
-  /// Source time window used for Eq. (1) SIC stamping (paper default: 10 s).
-  SimDuration stw = Seconds(10);
-  /// Relative CPU speed; operator costs divide by this (heterogeneity).
-  double cpu_speed = 1.0;
-  /// Watermark lag for window closing (late-data tolerance).
-  SimDuration window_grace = Millis(200);
-  /// Overload detector headroom multiplier (1.0 = paper behaviour).
-  double headroom = 1.0;
-  /// §6 local projection of result SIC in the shedder (see BalanceSicOptions;
-  /// also exposed here so FSPS presets can toggle it globally).
-  bool project_local_shedding = true;
+struct NodeOptions : SiteOptions {
   /// Track per-query tuple arrival rates at ingress (feeds OfferedLoadUs —
   /// the forward-looking placement/autoscaler signal). Off by default: the
   /// tracker allocates on the data-plane hot path, and the historical
@@ -63,20 +46,7 @@ struct NodeOptions {
 };
 
 /// Per-node counters exposed to experiments and tests.
-struct NodeStats {
-  uint64_t tuples_received = 0;
-  uint64_t tuples_processed = 0;
-  uint64_t tuples_shed = 0;
-  uint64_t batches_received = 0;
-  uint64_t batches_processed = 0;
-  uint64_t batches_shed = 0;
-  uint64_t shed_invocations = 0;     ///< timer ticks that shed something
-  uint64_t detector_invocations = 0; ///< all timer ticks
-  uint64_t batches_dropped_dead = 0; ///< in-flight arrivals while crashed
-  uint64_t tuples_dropped_dead = 0;  ///< incl. the buffer drained at crash
-  SimDuration busy_time = 0;
-  size_t last_capacity = 0;
-};
+using NodeStats = SiteStats;
 
 /// \brief One simulated FSPS node hosting query fragments.
 class Node {
@@ -138,12 +108,12 @@ class Node {
   CheckpointStore* checkpoint_store() { return &ckpt_store_; }
 
   NodeId id() const { return id_; }
-  const NodeStats& stats() const { return stats_; }
+  const NodeStats& stats() const { return site_.stats(); }
   const NodeOptions& options() const { return options_; }
-  const InputBuffer& input_buffer() const { return ib_; }
+  const InputBuffer& input_buffer() const { return site_.ib(); }
   /// Batch free-list of this node. Producers targeting this node (sources,
   /// upstream fragments) may Acquire() from it so batch churn recycles.
-  BatchPool* batch_pool() { return &pool_; }
+  BatchPool* batch_pool() { return &site_.pool(); }
   /// Latest capacity estimate c (tuples per shedding interval).
   size_t CurrentCapacity() const;
   /// Queries with at least one hosted fragment.
@@ -214,44 +184,24 @@ class Node {
   void OnShedTimer(uint64_t gen);
   /// Arms the shed-timer tick at `at` on the current queue.
   void ArmShedTimer(SimTime at);
-  SimTime Watermark() const;
 
   NodeId id_;
   NodeOptions options_;
   EventQueue* queue_;
   BatchRouter* router_;
-  std::unique_ptr<Shedder> shedder_;
 
-  InputBuffer ib_;
-  BatchPool pool_;
-  CostModel cost_model_;
-  OverloadDetector detector_;
   // Scratch buffer reused by PumpGraph for operator emissions; never holds
   // data across events, only avoids a fresh vector per pumped operator.
   std::vector<Tuple> scratch_outputs_;
 
   // Per-query state, indexed by QueryId. Iteration in index order is
   // ascending-query order, which the deterministic event sequence relies
-  // on. The admission account is the lag-free local signal for the shedder
-  // (see ShedContext), scaled by the slow efficiency estimate so it
-  // predicts *result* SIC: queries lose SIC mass semantically (filters
-  // dropping whole panes, join windows with one side missing), and
-  // equalising raw accepted mass would leave low-efficiency queries
-  // permanently below the water level. Its running totals feed the server
-  // oracle comparison.
+  // on. The admission accounts' running totals feed the server oracle
+  // comparison.
   QueryTable<HostedState> hosted_;
+  // IB, stamping, cost model, detector and shedder (reads hosted_).
+  ShedController site_;
 
-  // Eq. (1) stamping state (per-(query, source) rate estimates), shared
-  // with the real-time server ingress via SicStamper.
-  SicStamper stamper_;
-
-  // Reused per overloaded shed tick; indexed by QueryId (see ShedContext).
-  std::vector<double> query_sic_snapshot_;
-  std::vector<double> accepted_snapshot_;
-  // Cached per-query telemetry counters (no-op unless installed).
-  QueryTelemetry query_telemetry_;
-  // Batch-pool occupancy/recycle export, published once per shed tick.
-  PoolTelemetry pool_telemetry_;
   // Operator-state checkpointing (inert while !ckpt_config_.enabled).
   CheckpointConfig ckpt_config_;
   CheckpointStore ckpt_store_;
@@ -273,12 +223,6 @@ class Node {
   uint64_t generation_ = 0;
   SimTime shed_next_at_ = 0;
   SimTime processing_at_ = 0;
-
-  // Cost-model interval accounting.
-  uint64_t interval_tuples_ = 0;
-  SimDuration interval_busy_ = 0;
-
-  NodeStats stats_;
 };
 
 /// Event payload of a simulated network delivery: hands `batch` to `dest`.

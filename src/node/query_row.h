@@ -1,8 +1,8 @@
 // Per-query state of a site, one dense row per QueryId. The discrete-event
 // Node and the real-time ServerPipeline both keep a QueryTable of rows that
 // extend QueryRow with their executor's own fields, so a per-batch or
-// per-tick lookup is an index, not a map find, and the shed tick turns the
-// rows into BALANCE-SIC's inputs with the same code in both runtimes.
+// per-tick lookup is an index, not a map find. Their shared ShedController
+// runs the table's shed-tick steps through the QueryRows interface.
 #ifndef THEMIS_NODE_QUERY_ROW_H_
 #define THEMIS_NODE_QUERY_ROW_H_
 
@@ -59,12 +59,27 @@ struct QueryRow {
   }
 };
 
+/// The shed-tick steps over a table's rows, whatever their row type.
+class QueryRows {
+ public:
+  /// Shed-tick step run every tick: folds each admitted query's result SIC
+  /// per accepted SIC into its efficiency estimate.
+  virtual void RefreshEfficiency(SimTime now) = 0;
+  /// Shed-tick step run on overloaded ticks: BALANCE-SIC's per-query
+  /// inputs (see ShedContext), both indexed by QueryId.
+  virtual void FillShedInputs(SimTime now, std::vector<double>* query_sic,
+                              std::vector<double>* accepted) = 0;
+
+ protected:
+  ~QueryRows() = default;
+};
+
 /// \brief Dense table of `Row`s (QueryRow subtypes) indexed by QueryId.
 ///
 /// Query ids are small non-negative ints. Index order is ascending query
 /// order, which the deterministic tick loops rely on.
 template <typename Row>
-class QueryTable {
+class QueryTable final : public QueryRows {
  public:
   /// The row of `q` (non-negative), growing the table on first use.
   Row& Get(QueryId q) {
@@ -100,7 +115,7 @@ class QueryTable {
   /// lags the accept level by the operator pipeline latency, hence the slow
   /// EWMA; queries with (almost) nothing accepted or no disseminated value
   /// yet keep their estimate.
-  void RefreshEfficiency(SimTime now) {
+  void RefreshEfficiency(SimTime now) override {
     for (Row& row : rows_) {
       if (!row.accepted) continue;
       double accepted = row.accepted->tracker.QuerySic(now);
@@ -116,7 +131,7 @@ class QueryTable {
   /// accepted mass scaled by the efficiency estimate, so it predicts result
   /// SIC (0 where nothing was admitted).
   void FillShedInputs(SimTime now, std::vector<double>* query_sic,
-                      std::vector<double>* accepted) {
+                      std::vector<double>* accepted) override {
     query_sic->assign(rows_.size(), 0.0);
     accepted->assign(rows_.size(), 0.0);
     for (size_t q = 0; q < rows_.size(); ++q) {

@@ -1,10 +1,10 @@
-// Shared telemetry hooks for the shed tick / admission seams.
+// Telemetry hooks for the shed tick / admission seams.
 //
-// Node::OnShedTimer (DES) and ServerPipeline::TickPhase2 (realtime) run
-// the same detector -> shedder -> RetainIndices sequence; both call these
-// helpers at the same points with the same simulated-state inputs, which
-// is what makes a server kModeled metric snapshot match the DES snapshot
-// bit for bit (telemetry_test's oracle test pins this).
+// ShedController calls these at fixed points of its admission and
+// detector -> shedder -> RetainIndices steps, for the DES node and the
+// realtime server alike. Their inputs are simulated state only, which is
+// what makes a server kModeled metric snapshot match the DES snapshot bit
+// for bit (telemetry_test's oracle test pins this).
 //
 // Every helper takes the installed `Telemetry*` from the caller (which
 // already branched on it), so a disabled run pays nothing here.

@@ -1,6 +1,7 @@
 #include "server/server_pipeline.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "runtime/operator.h"
@@ -20,17 +21,20 @@ ServerPipeline::ServerPipeline(ServerOptions options, Clock* clock,
                                std::unique_ptr<Shedder> shedder)
     : options_(options),
       clock_(clock),
-      shedder_(std::move(shedder)),
       sched_(options.workers),
-      stamper_(options.stw),
-      detector_(options.headroom),
-      ingress_(std::make_unique<IngressTask>(this)) {
-  ib_.set_pool(&pool_);
-}
+      site_(options, std::move(shedder), &queries_),
+      ingress_(std::make_unique<IngressTask>(this)) {}
 
 ServerPipeline::~ServerPipeline() { Stop(); }
 
-void ServerPipeline::AddQuery(const QueryGraph* graph) {
+Status ServerPipeline::AddQuery(const QueryGraph* graph) {
+  if (graph->id() < 0) {
+    return Status::InvalidArgument("query id " + std::to_string(graph->id()) +
+                                   " is negative");
+  }
+  if (started_) {
+    return Status::FailedPrecondition("AddQuery after Start");
+  }
   HostedQuery& hq = queries_.Get(graph->id());
   hq.graph = graph;
   hq.by_op.resize(graph->num_operators());
@@ -51,6 +55,7 @@ void ServerPipeline::AddQuery(const QueryGraph* graph) {
   for (auto& node : hq.by_op) {
     if (node != nullptr) node->set_peers(peers);
   }
+  return Status::OK();
 }
 
 void ServerPipeline::Start() {
@@ -94,7 +99,7 @@ bool ServerPipeline::Push(Batch batch) {
   if (options_.ib_high_watermark > 0) {
     // Hysteresis: a full IB closes the gate for every source until the
     // ingress (or the shedder) drains it to the low watermark.
-    if (ib_.num_tuples() >= options_.ib_high_watermark) {
+    if (site_.ib().num_tuples() >= options_.ib_high_watermark) {
       source_gate_closed_ = true;
     }
     source_cv_.wait(lock, [this] {
@@ -103,32 +108,23 @@ bool ServerPipeline::Push(Batch batch) {
     });
   }
   if (stop_flag_.load(std::memory_order_acquire)) {
-    pool_.Release(std::move(batch));
+    site_.pool().Release(std::move(batch));
     return false;
   }
-  SimTime now = clock_->NowMicros();
-  stats_.batches_received += 1;
-  stats_.tuples_received += batch.size();
   const HostedQuery* hq = queries_.Hosted(batch.header.query_id);
-  if (hq == nullptr) {
-    // Unknown query: drop at ingress, recycling the buffer (as the DES
-    // node does).
-    pool_.Release(std::move(batch));
-    return true;
+  uint64_t stamp_t0 = timed ? tel->tracer().NowMicros() : 0;
+  if (!site_.Ingest(std::move(batch), clock_->NowMicros(), hq)) {
+    return true;  // unknown query: dropped (and recycled) at ingress
   }
   if (timed) {
-    uint64_t stamp_t0 = tel->tracer().NowMicros();
-    stamper_.StampSourceBatch(&batch, now, hq->graph->num_sources());
+    // stamp_us covers stamping and buffering; ingest_us adds the lock wait.
     uint64_t stamp_t1 = tel->tracer().NowMicros();
     telemetry::MetricRegistry& m = tel->metrics();
     m.GetHistogram("infra.server.stamp_us")
         ->Observe(static_cast<double>(stamp_t1 - stamp_t0));
     m.GetHistogram("infra.server.ingest_us")
         ->Observe(static_cast<double>(stamp_t1 - ingest_t0));
-  } else {
-    stamper_.StampSourceBatch(&batch, now, hq->graph->num_sources());
   }
-  ib_.Push(std::move(batch));
   lock.unlock();
   sched_.Notify(ingress_.get());
   return true;
@@ -151,7 +147,7 @@ RunStatus ServerPipeline::IngressSlice() {
         if (options_.pace_admission && now < busy_until_) {
           return RunStatus::kIdle;
         }
-        std::optional<Batch> b = ib_.Pop();
+        std::optional<Batch> b = site_.ib().Pop();
         WakeSourcesIfDrainedLocked();
         if (!b) return RunStatus::kIdle;
         staged_ = std::move(*b);
@@ -166,7 +162,7 @@ RunStatus ServerPipeline::IngressSlice() {
     HostedQuery* hq = queries_.Hosted(q);
     if (hq == nullptr) {
       std::lock_guard<std::mutex> lock(mu_);
-      pool_.Release(std::move(*staged_));
+      site_.pool().Release(std::move(*staged_));
       staged_.reset();
       continue;
     }
@@ -182,16 +178,7 @@ RunStatus ServerPipeline::IngressSlice() {
     staged_.reset();
     {
       std::lock_guard<std::mutex> lock(mu_);
-      SimTime now = clock_->NowMicros();
-      hq->Accepted(options_.stw).Add(now, sic, n);
-      if (telemetry::Telemetry* tel = telemetry::Get()) {
-        // Same seam as Node::ProcessNext's admission accounting, so a
-        // kModeled snapshot matches the DES snapshot bit for bit.
-        query_telemetry_.RecordAccepted(tel, q, sic, n);
-      }
-      stats_.batches_processed += 1;
-      stats_.tuples_processed += n;
-      interval_tuples_ += n;
+      site_.Admit(*hq, q, clock_->NowMicros(), sic, n);
       if (options_.accounting == CostAccounting::kModeled) {
         ChargeModeledLocked(static_cast<double>(n) *
                             hq->graph->op(dest_op)->cost_us_per_tuple() /
@@ -213,17 +200,12 @@ void ServerPipeline::ChargeModeledLocked(double work_us) {
   SimTime now = clock_->NowMicros();
   if (busy_until_ < now) busy_until_ = now;
   busy_until_ += w;
-  interval_busy_ += w;
-  stats_.busy_time += w;
+  site_.ChargeBusy(w);
 }
 
 SimTime ServerPipeline::Watermark() const {
   std::lock_guard<std::mutex> lock(mu_);
-  SimTime wm = clock_->NowMicros() - options_.window_grace;
-  if (!ib_.empty()) {
-    wm = std::min(wm, ib_.batches().front().header.created);
-  }
-  return wm;
+  return site_.Watermark(clock_->NowMicros());
 }
 
 void ServerPipeline::ChargeModeled(double work_us) {
@@ -242,8 +224,7 @@ void ServerPipeline::RecordMeasuredBusy(SimDuration busy_us) {
         ->Observe(static_cast<double>(busy_us));
   }
   std::lock_guard<std::mutex> lock(mu_);
-  interval_busy_ += busy_us;
-  stats_.busy_time += busy_us;
+  site_.ChargeBusy(busy_us);
 }
 
 void ServerPipeline::DeliverResult(QueryId query,
@@ -260,24 +241,21 @@ void ServerPipeline::DeliverResult(QueryId query,
 
 Batch ServerPipeline::AcquireBatch() {
   std::lock_guard<std::mutex> lock(mu_);
-  return pool_.Acquire();
+  return site_.pool().Acquire();
 }
 
 void ServerPipeline::ReleaseBatch(Batch b) {
   std::lock_guard<std::mutex> lock(mu_);
-  pool_.Release(std::move(b));
+  site_.pool().Release(std::move(b));
 }
 
 void ServerPipeline::TickPhase1() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    stats_.detector_invocations += 1;
-    cost_model_.RecordInterval(interval_tuples_, interval_busy_);
-    interval_tuples_ = 0;
-    interval_busy_ = 0;
+    site_.RollInterval();
   }
-  // Uncharged window pump, ascending queries, pump order within a query —
-  // the same order Node::OnShedTimer runs PumpGraph(hs, nullptr).
+  // Uncharged window pump: ascending queries, pump order within a query,
+  // the order the Node's tick pumps its hosted graphs in.
   for (HostedQuery& hq : queries_) {
     for (ExecNode* e : hq.pump) e->NotifyUncharged();
   }
@@ -290,13 +268,11 @@ void ServerPipeline::TickPhase2() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     SimTime now = clock_->NowMicros();
-    size_t capacity = cost_model_.EstimateCapacity(options_.shed_interval);
+    size_t capacity = site_.EstimateCapacity();
     if (options_.accounting == CostAccounting::kMeasured) {
       // Busy time is summed across workers; capacity scales with them.
       capacity *= std::max<size_t>(options_.workers, 1);
     }
-    stats_.last_capacity = capacity;
-
     // Local stand-in for coordinator dissemination (§5.2): feed the result
     // sinks' trailing-STW SIC back into the shedder's query_sic view.
     if (options_.disseminate_sic) {
@@ -304,37 +280,7 @@ void ServerPipeline::TickPhase2() {
         if (hq.results) hq.SetSic(hq.results->tracker.QuerySic(now));
       }
     }
-
-    // Per-query efficiency EWMA, exactly as Node::OnShedTimer.
-    queries_.RefreshEfficiency(now);
-
-    bool overloaded = detector_.IsOverloaded(ib_.num_tuples(), capacity);
-    if (tel != nullptr) {
-      // Same seam and inputs as Node::OnShedTimer's verdict record.
-      RecordShedTick(tel, ib_.num_tuples(), capacity, overloaded);
-      pool_telemetry_.Publish(tel, pool_.stats());
-    }
-    if (overloaded) {
-      queries_.FillShedInputs(now, &query_sic_snapshot_, &accepted_snapshot_);
-      ShedContext ctx;
-      ctx.capacity_tuples = capacity;
-      ctx.now = now;
-      ctx.query_sic = &query_sic_snapshot_;
-      ctx.local_accepted_sic = &accepted_snapshot_;
-      std::vector<size_t> keep =
-          shedder_->SelectBatchesToKeep(ib_.batches(), ctx);
-      if (tel != nullptr) {
-        RecordShedDrops(tel, &query_telemetry_, ib_.batches(), keep);
-      }
-      size_t before_batches = ib_.num_batches();
-      size_t dropped = ib_.RetainIndices(keep);
-      if (dropped > 0) {
-        stats_.shed_invocations += 1;
-        stats_.tuples_shed += dropped;
-        stats_.batches_shed += before_batches - ib_.num_batches();
-      }
-      WakeSourcesIfDrainedLocked();
-    }
+    if (site_.DetectAndShed(now, capacity)) WakeSourcesIfDrainedLocked();
   }
   if (timed) {
     telemetry::MetricRegistry& m = tel->metrics();
@@ -370,7 +316,7 @@ void ServerPipeline::TickerLoop() {
 void ServerPipeline::WakeSourcesIfDrainedLocked() {
   if (options_.ib_high_watermark == 0) return;
   if (source_gate_closed_ &&
-      ib_.num_tuples() <= options_.ib_low_watermark) {
+      site_.ib().num_tuples() <= options_.ib_low_watermark) {
     source_gate_closed_ = false;
     source_cv_.notify_all();
   }
@@ -386,7 +332,7 @@ SimTime ServerPipeline::NextAdmissionTime() const {
   std::lock_guard<std::mutex> lock(mu_);
   SimTime now = clock_->NowMicros();
   if (staged_.has_value()) return now;
-  if (ib_.empty()) return kNever;
+  if (site_.ib().empty()) return kNever;
   if (!options_.pace_admission) return now;
   return std::max(busy_until_, now);
 }
@@ -396,23 +342,24 @@ SimTime ServerPipeline::NextTickTime() const {
   return next_tick_;
 }
 
+void ServerPipeline::Quiesce() {
+  if (options_.workers > 0) {
+    sched_.WaitIdle();
+  } else {
+    sched_.RunUntilIdle();
+  }
+}
+
 void ServerPipeline::DriveTick() {
-  auto barrier = [this] {
-    if (options_.workers > 0) {
-      sched_.WaitIdle();
-    } else {
-      sched_.RunUntilIdle();
-    }
-  };
   TickPhase1();
-  barrier();  // window pump quiesces before detection
+  Quiesce();  // window pump quiesces before detection
   MaybeCaptureCheckpoints();
   TickPhase2();
   {
     std::lock_guard<std::mutex> lock(mu_);
     next_tick_ += options_.shed_interval;
   }
-  barrier();
+  Quiesce();
 }
 
 void ServerPipeline::EnableCheckpoints(CheckpointStore* store,
@@ -455,19 +402,12 @@ void ServerPipeline::MaybeCaptureCheckpoints() {
 
 size_t ServerPipeline::CurrentCapacity() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_.last_capacity;
+  return site_.stats().last_capacity;
 }
 
 size_t ServerPipeline::ib_tuples() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return ib_.num_tuples();
-}
-
-double ServerPipeline::AcceptedSic(QueryId q, SimTime now) {
-  std::lock_guard<std::mutex> lock(mu_);
-  HostedQuery* hq = queries_.Find(q);
-  return hq == nullptr || !hq->accepted ? 0.0
-                                        : hq->accepted->tracker.QuerySic(now);
+  return site_.ib().num_tuples();
 }
 
 double ServerPipeline::AcceptedSicTotal(QueryId q) const {

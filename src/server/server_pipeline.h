@@ -1,10 +1,10 @@
 // The real-time THEMIS runtime: one site running hosted queries as a live
-// multi-threaded pipeline, driving the same SIC stamping, cost model,
-// overload detector and shedder as the discrete-event Node — but off a real
-// (or manually advanced) clock. Sources Push() batches from any thread; the
-// ingress task stamps, buffers and admits them; execution nodes process
-// them under credit-based backpressure; a shed-timer tick prunes the input
-// buffer exactly as §6 prescribes.
+// multi-threaded pipeline around the same ShedController as the
+// discrete-event Node — but off a real (or manually advanced) clock, with
+// the controller guarded by the site lock. Sources Push() batches from any
+// thread; the ingress task admits them; execution nodes process them under
+// credit-based backpressure; a shed-timer tick prunes the input buffer as
+// §6 prescribes.
 //
 // Two accounting modes:
 //  - kMeasured (real runs): busy time is measured per task slice on the
@@ -25,21 +25,15 @@
 #include <thread>
 #include <vector>
 
-#include "common/stats.h"
+#include "common/status.h"
 #include "common/time_types.h"
-#include "node/input_buffer.h"
 #include "node/query_row.h"
-#include "node/sic_stamper.h"
-#include "node/telemetry_hooks.h"
-#include "runtime/batch_pool.h"
+#include "node/shed_controller.h"
 #include "runtime/checkpoint.h"
 #include "runtime/clock.h"
 #include "runtime/query_graph.h"
 #include "server/exec_node.h"
-#include "shedding/cost_model.h"
-#include "shedding/overload_detector.h"
 #include "shedding/shedder.h"
-#include "sic/stw_tracker.h"
 
 namespace themis {
 
@@ -51,13 +45,8 @@ enum class CostAccounting {
   kModeled,
 };
 
-/// Server configuration; shedding defaults match NodeOptions (§7).
-struct ServerOptions {
-  SimDuration shed_interval = Millis(250);
-  SimDuration stw = Seconds(10);
-  double cpu_speed = 1.0;
-  SimDuration window_grace = Millis(200);
-  double headroom = 1.0;
+/// Server configuration; the shedding settings are the Node's (§7).
+struct ServerOptions : SiteOptions {
   /// Worker threads; 0 = caller-driven deterministic mode (RunUntilIdle).
   size_t workers = 4;
   /// Credits per execution-node input channel.
@@ -76,19 +65,8 @@ struct ServerOptions {
   size_t ib_low_watermark = 0;
 };
 
-/// Per-server counters (mirrors NodeStats where the semantics coincide).
-struct ServerStats {
-  uint64_t tuples_received = 0;
-  uint64_t tuples_processed = 0;  ///< admitted to execution
-  uint64_t tuples_shed = 0;
-  uint64_t batches_received = 0;
-  uint64_t batches_processed = 0;
-  uint64_t batches_shed = 0;
-  uint64_t shed_invocations = 0;
-  uint64_t detector_invocations = 0;
-  SimDuration busy_time = 0;
-  size_t last_capacity = 0;
-};
+/// Per-server counters: the Node's, with the dead-node fields left at 0.
+using ServerStats = SiteStats;
 
 /// \brief A live single-site pipeline hosting whole queries.
 class ServerPipeline : private ServerSite {
@@ -99,9 +77,11 @@ class ServerPipeline : private ServerSite {
                  std::unique_ptr<Shedder> shedder);
   ~ServerPipeline() override;
 
-  /// Hosts every fragment of `graph` on this site. Call before Start; the
-  /// graph must outlive the pipeline.
-  void AddQuery(const QueryGraph* graph);
+  /// Hosts every fragment of `graph` on this site; the graph must outlive
+  /// the pipeline. InvalidArgument for a negative query id,
+  /// FailedPrecondition once started (the ingress reads the query table
+  /// without the lock).
+  Status AddQuery(const QueryGraph* graph);
 
   /// Spawns workers and the shed ticker (with workers > 0); arms the first
   /// tick at clock + shed_interval either way.
@@ -123,17 +103,19 @@ class ServerPipeline : private ServerSite {
   void RunUntilIdle();
   /// Blocks until workers drained the runnable queue (workers > 0). With
   /// pace_admission the ticker is not spawned, so a driver can alternate
-  /// Push/NotifyIngress/WaitIdle with ManualClock advances and DriveTick
+  /// Push/NotifyIngress/Quiesce with ManualClock advances and DriveTick
   /// for a deterministic run on real worker threads.
   void WaitIdle();
+  /// WaitIdle with workers, RunUntilIdle without.
+  void Quiesce();
   /// Time the next batch admission may happen (kNever if the IB is empty
   /// and nothing is staged).
   SimTime NextAdmissionTime() const;
   /// Time of the next shed tick.
   SimTime NextTickTime() const;
-  /// Runs one shed tick on the calling thread: interval accounting, window
-  /// pump (drained to idle), then detection/shedding — the same order as
-  /// Node::OnShedTimer, split so the pump can quiesce in between.
+  /// Runs one shed tick on the calling thread: interval rollover, window
+  /// pump (drained to idle), checkpoint capture, then detection/shedding —
+  /// the Node's tick order, with the pump quiescing in between.
   void DriveTick();
 
   // --- Checkpointing ----------------------------------------------------
@@ -157,13 +139,11 @@ class ServerPipeline : private ServerSite {
   /// from any thread while the pipeline runs).
   ServerStats stats() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return stats_;
+    return site_.stats();
   }
   const ServerOptions& options() const { return options_; }
   size_t CurrentCapacity() const;
   size_t ib_tuples() const;
-  /// Trailing-STW accepted SIC (diagnostics; shedder sees it scaled).
-  double AcceptedSic(QueryId q, SimTime now);
   /// Cumulative admitted SIC/tuples since Start (oracle comparisons).
   double AcceptedSicTotal(QueryId q) const;
   uint64_t AcceptedTuplesTotal(QueryId q) const;
@@ -208,42 +188,27 @@ class ServerPipeline : private ServerSite {
   void ChargeModeledLocked(double work_us);
   /// Phase 1: cost-model interval rollover + uncharged window-pump wakeups.
   void TickPhase1();
-  /// Phase 2: capacity, efficiency EWMA, dissemination, detect + shed.
+  /// Phase 2: capacity, dissemination, detect + shed.
   void TickPhase2();
   void TickerLoop();
   void WakeSourcesIfDrainedLocked();
 
   ServerOptions options_;
   Clock* clock_;
-  std::unique_ptr<Shedder> shedder_;
   Scheduler sched_;
 
-  mutable std::mutex mu_;  // site lock (IB, pool, accounting, stamping)
+  mutable std::mutex mu_;  // site lock (site_ and the accounting fields)
   std::condition_variable source_cv_;
-  SicStamper stamper_;
-  InputBuffer ib_;
-  BatchPool pool_;
-  CostModel cost_model_;
-  OverloadDetector detector_;
-  /// Reused per overloaded shed tick; indexed by QueryId (see ShedContext).
-  std::vector<double> query_sic_snapshot_;
-  std::vector<double> accepted_snapshot_;
-  /// Cached per-query telemetry counters; all writers hold mu_.
-  QueryTelemetry query_telemetry_;
-  /// Batch-pool occupancy export, published per shed tick under mu_.
-  PoolTelemetry pool_telemetry_;
+  /// Hosted queries, indexed by QueryId. Rows are created by AddQuery only,
+  /// so the table never grows after Start.
+  QueryTable<HostedQuery> queries_;
+  /// IB, stamping, cost model, detector and shedder (reads queries_).
+  ShedController site_;
   SimTime busy_until_ = 0;
-  uint64_t interval_tuples_ = 0;
-  SimDuration interval_busy_ = 0;
   bool source_gate_closed_ = false;
   /// Batch popped from the IB whose downstream push blocked; admission
   /// accounting happens only once it lands.
   std::optional<Batch> staged_;
-  ServerStats stats_;
-
-  /// Hosted queries, indexed by QueryId. Rows are created by AddQuery only,
-  /// so the table never grows after Start.
-  QueryTable<HostedQuery> queries_;
   std::unique_ptr<IngressTask> ingress_;
 
   /// Checkpoint seam (EnableCheckpoints); null = off, the default.

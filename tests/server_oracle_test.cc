@@ -6,152 +6,35 @@
 // worker thread.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <memory>
-#include <vector>
 
-#include "node/node.h"
 #include "runtime/checkpoint.h"
 #include "runtime/clock.h"
-#include "runtime/operators/aggregates.h"
-#include "runtime/operators/receiver.h"
 #include "server/oracle_driver.h"
 #include "server/server_pipeline.h"
 #include "shedding/balance_sic_shedder.h"
-#include "sim/event_queue.h"
 
 namespace themis {
 namespace {
 
-// The pinned scenario. Constraints that make DES/server equality exact:
-//  - every operator cost divided by cpu_speed is an integral microsecond
-//    count (the DES truncates per-admission work sums once, the server
-//    truncates per charge; integral pieces make both exact),
-//  - per-batch work stays below the 250 ms shed interval (ticks then always
-//    precede same-time admissions, as the event queue schedules them),
-//  - arrival times avoid the 250 ms tick grid (coprime periods; first
-//    collision at 3.25 s, past the 3.2 s horizon).
-constexpr SimTime kHorizon = Millis(3200);
-constexpr double kCpuSpeed = 0.01;  // 1 us/tuple costs become 100 us/tuple
-constexpr int kQueries = 4;
-constexpr SimDuration kPeriods[kQueries] = {Millis(13), Millis(17),
-                                            Millis(19), Millis(23)};
-constexpr size_t kBatchTuples = 100;
-
-std::unique_ptr<QueryGraph> MakeAvgGraph(QueryId q, SourceId src) {
-  QueryBuilder b(q, "avg");
-  OperatorId recv = b.Add(std::make_unique<ReceiverOp>(), 0);
-  OperatorId avg = b.Add(
-      std::make_unique<AggregateOp>(AggregateKind::kAvg, 0,
-                                    WindowSpec::TumblingTime(kSecond)),
-      0);
-  OperatorId out = b.Add(std::make_unique<OutputOp>(), 0);
-  b.Connect(recv, avg).Connect(avg, out).BindSource(src, recv).SetRoot(out);
-  return std::move(b.Build()).TakeValue();
-}
-
-Batch SourceBatch(QueryId q, SourceId src, SimTime now, size_t n) {
-  std::vector<Tuple> ts;
-  ts.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    ts.push_back(Tuple(now, 0.0, {Value(static_cast<double>(q) + 1.0)}));
-  }
-  Batch b = MakeBatch(q, /*op=*/0, /*port=*/0, now, std::move(ts));
-  b.header.source = src;
-  return b;
-}
-
-// Arrival timeline, sorted ascending; same-time order is query order (the
-// DES schedules its events in exactly this order, so FIFO ties match).
-std::vector<TimedBatch> MakeArrivals() {
-  std::vector<TimedBatch> arrivals;
-  for (SimTime t = 0; t <= kHorizon; t += Millis(1)) {
-    for (int q = 0; q < kQueries; ++q) {
-      if (t % kPeriods[q] != 0) continue;
-      arrivals.push_back(
-          TimedBatch{t, SourceBatch(q, /*src=*/10 + q, t, kBatchTuples)});
-    }
-  }
-  return arrivals;
-}
-
-struct DesRun {
-  std::map<QueryId, double> accepted_sic;
-  std::map<QueryId, uint64_t> accepted_tuples;
-  uint64_t tuples_processed = 0;
-  uint64_t tuples_shed = 0;
-  uint64_t shed_invocations = 0;
-};
-
-class NullRouter : public BatchRouter {
- public:
-  void RouteBatch(NodeId, QueryId, FragmentId, Batch) override {}
-  void DeliverResult(QueryId, SimTime, const std::vector<Tuple>&) override {}
-};
-
-DesRun RunDes(const std::vector<std::unique_ptr<QueryGraph>>& graphs) {
-  EventQueue queue;
-  NullRouter router;
-  NodeOptions options;
-  options.cpu_speed = kCpuSpeed;
-  Node node(0, options, &queue, &router,
-            std::make_unique<BalanceSicShedder>(Rng(7)));
-  for (const auto& g : graphs) node.HostFragment(g.get(), 0);
-  node.Start();  // first tick scheduled before any arrival: ties tick-first
-
-  std::vector<TimedBatch> arrivals = MakeArrivals();
-  for (TimedBatch& a : arrivals) {
-    Batch* b = &a.batch;
-    queue.Schedule(a.at, [&node, b] { node.Receive(std::move(*b)); });
-  }
-  queue.RunUntil(kHorizon);
-
-  DesRun out;
-  for (int q = 0; q < kQueries; ++q) {
-    out.accepted_sic[q] = node.AcceptedSicTotal(q);
-    out.accepted_tuples[q] = node.AcceptedTuplesTotal(q);
-  }
-  out.tuples_processed = node.stats().tuples_processed;
-  out.tuples_shed = node.stats().tuples_shed;
-  out.shed_invocations = node.stats().shed_invocations;
-  return out;
-}
-
+// The pinned scenario (server/oracle_driver.h) runs on both runtimes over
+// the same graph objects.
 void RunServerAndCompare(size_t workers) {
-  std::vector<std::unique_ptr<QueryGraph>> graphs;
-  for (int q = 0; q < kQueries; ++q) {
-    graphs.push_back(MakeAvgGraph(q, 10 + q));
-  }
-  DesRun des = RunDes(graphs);
+  OracleGraphs graphs = MakeOracleGraphs();
+  OracleRun des = RunOracleDes(graphs, kOracleHorizon);
   // Sanity: the scenario genuinely overloads the node and sheds.
-  ASSERT_GT(des.tuples_shed, 0u);
-  ASSERT_GT(des.tuples_processed, 0u);
+  ASSERT_GT(des.stats.tuples_shed, 0u);
+  ASSERT_GT(des.stats.tuples_processed, 0u);
 
-  ManualClock clock;
-  ServerOptions opts;
-  opts.workers = workers;
-  opts.cpu_speed = kCpuSpeed;
-  opts.accounting = CostAccounting::kModeled;
-  opts.pace_admission = true;
-  opts.disseminate_sic = false;  // the DES twin has no coordinator either
-  opts.channel_capacity = 1 << 20;  // never backpressure the oracle
-  ServerPipeline pipeline(opts, &clock,
-                          std::make_unique<BalanceSicShedder>(Rng(7)));
-  for (const auto& g : graphs) pipeline.AddQuery(g.get());
-  pipeline.Start();
-
-  std::vector<TimedBatch> arrivals = MakeArrivals();
-  DriveDeterministic(&pipeline, &clock, &arrivals, kHorizon);
-  pipeline.Stop();
-
-  for (int q = 0; q < kQueries; ++q) {
+  OracleRun server = RunOracleServer(graphs, workers, kOracleHorizon);
+  for (int q = 0; q < kOracleQueries; ++q) {
     SCOPED_TRACE(q);
-    EXPECT_EQ(pipeline.AcceptedTuplesTotal(q), des.accepted_tuples[q]);
-    EXPECT_DOUBLE_EQ(pipeline.AcceptedSicTotal(q), des.accepted_sic[q]);
+    EXPECT_EQ(server.accepted_tuples[q], des.accepted_tuples[q]);
+    EXPECT_DOUBLE_EQ(server.accepted_sic[q], des.accepted_sic[q]);
   }
-  EXPECT_EQ(pipeline.stats().tuples_processed, des.tuples_processed);
-  EXPECT_EQ(pipeline.stats().tuples_shed, des.tuples_shed);
-  EXPECT_EQ(pipeline.stats().shed_invocations, des.shed_invocations);
+  EXPECT_EQ(server.stats.tuples_processed, des.stats.tuples_processed);
+  EXPECT_EQ(server.stats.tuples_shed, des.stats.tuples_shed);
+  EXPECT_EQ(server.stats.shed_invocations, des.stats.shed_invocations);
 }
 
 TEST(ServerOracleTest, CallerDrivenMatchesDes) { RunServerAndCompare(0); }
@@ -164,55 +47,22 @@ TEST(ServerOracleTest, SingleWorkerThreadMatchesDes) { RunServerAndCompare(1); }
 // checkpoints in deterministic mode must not change a single accepted
 // tuple, SIC total or shed decision.
 TEST(ServerCheckpointTest, CaptureIsByteIdenticalToOff) {
-  auto run = [](CheckpointStore* store) {
-    std::vector<std::unique_ptr<QueryGraph>> graphs;
-    for (int q = 0; q < kQueries; ++q) {
-      graphs.push_back(MakeAvgGraph(q, 10 + q));
-    }
-    ManualClock clock;
-    ServerOptions opts;
-    opts.workers = 0;
-    opts.cpu_speed = kCpuSpeed;
-    opts.accounting = CostAccounting::kModeled;
-    opts.pace_admission = true;
-    opts.disseminate_sic = false;
-    opts.channel_capacity = 1 << 20;
-    ServerPipeline pipeline(opts, &clock,
-                            std::make_unique<BalanceSicShedder>(Rng(7)));
-    for (const auto& g : graphs) pipeline.AddQuery(g.get());
-    if (store != nullptr) {
-      CheckpointConfig config;
-      config.enabled = true;
-      config.cadence = Millis(500);
-      pipeline.EnableCheckpoints(store, config);
-    }
-    pipeline.Start();
-    std::vector<TimedBatch> arrivals = MakeArrivals();
-    DriveDeterministic(&pipeline, &clock, &arrivals, kHorizon);
-    pipeline.Stop();
-    DesRun out;
-    for (int q = 0; q < kQueries; ++q) {
-      out.accepted_sic[q] = pipeline.AcceptedSicTotal(q);
-      out.accepted_tuples[q] = pipeline.AcceptedTuplesTotal(q);
-    }
-    out.tuples_processed = pipeline.stats().tuples_processed;
-    out.tuples_shed = pipeline.stats().tuples_shed;
-    out.shed_invocations = pipeline.stats().shed_invocations;
-    return out;
-  };
-
+  CheckpointConfig config;
+  config.enabled = true;
+  config.cadence = Millis(500);
   CheckpointStore store;
-  DesRun off = run(nullptr);
-  DesRun on = run(&store);
+  OracleRun off = RunOracleServer(MakeOracleGraphs(), 0, kOracleHorizon);
+  OracleRun on =
+      RunOracleServer(MakeOracleGraphs(), 0, kOracleHorizon, &store, config);
   ASSERT_GT(store.stats().taken, 0u);  // genuinely captured
-  for (int q = 0; q < kQueries; ++q) {
+  for (int q = 0; q < kOracleQueries; ++q) {
     SCOPED_TRACE(q);
     EXPECT_EQ(on.accepted_tuples[q], off.accepted_tuples[q]);
     EXPECT_DOUBLE_EQ(on.accepted_sic[q], off.accepted_sic[q]);
   }
-  EXPECT_EQ(on.tuples_processed, off.tuples_processed);
-  EXPECT_EQ(on.tuples_shed, off.tuples_shed);
-  EXPECT_EQ(on.shed_invocations, off.shed_invocations);
+  EXPECT_EQ(on.stats.tuples_processed, off.stats.tuples_processed);
+  EXPECT_EQ(on.stats.tuples_shed, off.stats.tuples_shed);
+  EXPECT_EQ(on.stats.shed_invocations, off.stats.shed_invocations);
 }
 
 // Process-restart model: a fresh pipeline hosting twin graphs restores the
@@ -220,52 +70,28 @@ TEST(ServerCheckpointTest, CaptureIsByteIdenticalToOff) {
 // Start(). The twins' re-serialized images are byte-equal to the stored
 // ones — the restore hit every (query, operator) pair, none were missed.
 TEST(ServerCheckpointTest, RestartRestoresEveryOperatorFromTheStore) {
-  std::vector<std::unique_ptr<QueryGraph>> graphs;
-  for (int q = 0; q < kQueries; ++q) {
-    graphs.push_back(MakeAvgGraph(q, 10 + q));
-  }
-  ManualClock clock;
-  ServerOptions opts;
-  opts.workers = 0;
-  opts.cpu_speed = kCpuSpeed;
-  opts.accounting = CostAccounting::kModeled;
-  opts.pace_admission = true;
-  opts.disseminate_sic = false;
-  opts.channel_capacity = 1 << 20;
-
   CheckpointStore store;
   CheckpointConfig config;
   config.enabled = true;
   config.cadence = Millis(250);
-  {
-    ServerPipeline pipeline(opts, &clock,
-                            std::make_unique<BalanceSicShedder>(Rng(7)));
-    for (const auto& g : graphs) pipeline.AddQuery(g.get());
-    pipeline.EnableCheckpoints(&store, config);
-    pipeline.Start();
-    std::vector<TimedBatch> arrivals = MakeArrivals();
-    DriveDeterministic(&pipeline, &clock, &arrivals, kHorizon);
-    pipeline.Stop();
-  }
+  RunOracleServer(MakeOracleGraphs(), 0, kOracleHorizon, &store, config);
   // Every operator of every query has an image (3 ops per avg graph).
-  ASSERT_EQ(store.size(), static_cast<size_t>(3 * kQueries));
+  ASSERT_EQ(store.size(), static_cast<size_t>(3 * kOracleQueries));
 
   // "Restart": twin graphs (same builder, same ids), fresh pipeline, same
   // durable store.
-  std::vector<std::unique_ptr<QueryGraph>> twins;
-  for (int q = 0; q < kQueries; ++q) {
-    twins.push_back(MakeAvgGraph(q, 10 + q));
-  }
+  OracleGraphs twins = MakeOracleGraphs();
   ManualClock clock2;
-  ServerPipeline restarted(opts, &clock2,
+  ServerPipeline restarted(OracleServerOptions(0), &clock2,
                            std::make_unique<BalanceSicShedder>(Rng(7)));
   for (const auto& g : twins) restarted.AddQuery(g.get());
   restarted.EnableCheckpoints(&store, config);
   restarted.RestoreHostedFromStore();
-  EXPECT_EQ(store.stats().restores, static_cast<uint64_t>(3 * kQueries));
+  EXPECT_EQ(store.stats().restores,
+            static_cast<uint64_t>(3 * kOracleQueries));
   EXPECT_EQ(store.stats().missed, 0u);
 
-  for (int q = 0; q < kQueries; ++q) {
+  for (int q = 0; q < kOracleQueries; ++q) {
     const QueryGraph* twin = twins[q].get();
     for (FragmentId frag : twin->fragment_ids()) {
       for (OperatorId oid : twin->fragment_ops(frag)) {

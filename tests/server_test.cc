@@ -14,9 +14,12 @@
 #include "runtime/operators/aggregates.h"
 #include "runtime/operators/receiver.h"
 #include "server/channel.h"
+#include "server/oracle_driver.h"
 #include "server/scheduler.h"
 #include "server/server_pipeline.h"
 #include "shedding/balance_sic_shedder.h"
+#include "shedding/cost_model.h"
+#include "sic/sic.h"
 
 namespace themis {
 namespace {
@@ -301,6 +304,113 @@ TEST(ServerPipelineTest, SourceBackpressureBlocksAndResumes) {
   EXPECT_TRUE(unblocked.load(std::memory_order_acquire));
   p.Stop();
   EXPECT_EQ(p.stats().tuples_received, 260u);
+}
+
+TEST(ServerPipelineTest, AddQueryRejectsNegativeIdsAndQueriesAfterStart) {
+  ManualClock clock;
+  ServerOptions opts;
+  opts.workers = 0;
+  ServerPipeline p(opts, &clock,
+                   std::make_unique<BalanceSicShedder>(Rng(1)));
+  auto negative = MakeAvgGraph(-1, 10);
+  EXPECT_EQ(p.AddQuery(negative.get()).code(), StatusCode::kInvalidArgument);
+  auto graph = MakeAvgGraph(1, 11);
+  EXPECT_TRUE(p.AddQuery(graph.get()).ok());
+  p.Start();
+  // The ingress reads the query table without the lock once started.
+  auto late = MakeAvgGraph(2, 12);
+  EXPECT_EQ(p.AddQuery(late.get()).code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(p.Push(SourceBatch(2, 12, 0, 10, 1.0)));  // dropped: unknown
+  p.RunUntilIdle();
+  p.Stop();
+  EXPECT_EQ(p.stats().tuples_received, 10u);
+  EXPECT_EQ(p.stats().tuples_processed, 0u);
+}
+
+// Records the context of every shed call and sheds everything.
+class RecordingShedder : public Shedder {
+ public:
+  std::vector<size_t> SelectBatchesToKeep(const std::deque<Batch>&,
+                                          const ShedContext& ctx) override {
+    ++calls;
+    capacity = ctx.capacity_tuples;
+    query_sic = *ctx.query_sic;
+    return {};
+  }
+  const char* name() const override { return "recording"; }
+
+  int calls = 0;
+  size_t capacity = 0;
+  std::vector<double> query_sic;
+};
+
+// The server's own tick inputs, which the DES twin does not have: result
+// SIC fed back into query_sic (disseminate_sic) and the modeled capacity.
+TEST(ServerPipelineTest, TickFeedsResultSicAndModeledCapacityToTheShedder) {
+  ManualClock clock;
+  ServerOptions opts = OracleServerOptions(0);
+  opts.disseminate_sic = true;
+  auto shedder = std::make_unique<RecordingShedder>();
+  RecordingShedder* recorder = shedder.get();
+  ServerPipeline p(opts, &clock, std::move(shedder));
+  OracleGraphs graphs = MakeOracleGraphs();
+  for (const auto& g : graphs) ASSERT_TRUE(p.AddQuery(g.get()).ok());
+  p.Start();
+
+  // The cost model sees one interval per tick: what was admitted and
+  // charged since the previous tick.
+  CostModel expected;
+  ServerStats last;
+  auto tick = [&] {
+    ServerStats now = p.stats();
+    expected.RecordInterval(now.tuples_processed - last.tuples_processed,
+                            now.busy_time - last.busy_time);
+    last = now;
+    clock.AdvanceTo(p.NextTickTime());
+    p.DriveTick();
+  };
+  // Light load over the first second; the ticks up to 1.25 s close the
+  // first windows, delivering results.
+  for (SimTime from = 0; from < Millis(1250); from += Millis(250)) {
+    std::vector<TimedBatch> light;
+    for (SimTime t = from + Millis(10); t < from + Millis(250) && t < kSecond;
+         t += Millis(100)) {
+      for (QueryId q = 0; q < kOracleQueries; ++q) {
+        light.push_back(TimedBatch{t, SourceBatch(q, 10 + q, t, 10, 1.0)});
+      }
+    }
+    DriveDeterministic(&p, &clock, &light, from + Millis(250) - 1);
+    tick();
+  }
+  ASSERT_EQ(recorder->calls, 0);  // never overloaded so far
+  for (QueryId q = 0; q < kOracleQueries; ++q) {
+    ASSERT_GT(p.ResultSicTotal(q), 0.0) << q;
+  }
+
+  // A burst far above capacity before the next tick: paced admission takes
+  // one batch per modeled busy period, so most of it is still buffered.
+  std::vector<TimedBatch> burst;
+  for (int i = 0; i < 20; ++i) {
+    for (QueryId q = 0; q < kOracleQueries; ++q) {
+      SimTime t = Millis(1450);
+      burst.push_back(TimedBatch{t, SourceBatch(q, 10 + q, t, 100, 1.0)});
+    }
+  }
+  DriveDeterministic(&p, &clock, &burst, Millis(1500) - 1);
+  tick();
+  p.Stop();
+
+  ASSERT_EQ(recorder->calls, 1);
+  ASSERT_EQ(recorder->query_sic.size(), static_cast<size_t>(kOracleQueries));
+  for (QueryId q = 0; q < kOracleQueries; ++q) {
+    // Every result lies within the trailing STW, so its SIC is the total.
+    EXPECT_DOUBLE_EQ(recorder->query_sic[q],
+                     ClampQuerySic(p.ResultSicTotal(q)))
+        << q;
+  }
+  // kModeled: the cost-model estimate itself, not scaled by the workers.
+  EXPECT_EQ(recorder->capacity, expected.EstimateCapacity(opts.shed_interval));
+  EXPECT_EQ(recorder->capacity, p.CurrentCapacity());
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <deque>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -23,15 +22,8 @@
 #include "federation/elastic_federation.h"
 #include "federation/fsps.h"
 #include "federation/scale_federation.h"
-#include "node/node.h"
 #include "node/telemetry_hooks.h"
-#include "runtime/clock.h"
-#include "runtime/operators/aggregates.h"
-#include "runtime/operators/receiver.h"
 #include "server/oracle_driver.h"
-#include "server/server_pipeline.h"
-#include "shedding/balance_sic_shedder.h"
-#include "sim/event_queue.h"
 #include "telemetry/telemetry.h"
 #include "workload/scale_scenario.h"
 
@@ -159,18 +151,6 @@ TEST(TelemetryMergeTest, ScaleSnapshotIdenticalAcrossShardCounts) {
 
 // --- disabled path is allocation-free ------------------------------------
 
-std::unique_ptr<QueryGraph> MakeAvgGraph(QueryId q, SourceId src) {
-  QueryBuilder b(q, "avg");
-  OperatorId recv = b.Add(std::make_unique<ReceiverOp>(), 0);
-  OperatorId avg = b.Add(
-      std::make_unique<AggregateOp>(AggregateKind::kAvg, 0,
-                                    WindowSpec::TumblingTime(kSecond)),
-      0);
-  OperatorId out = b.Add(std::make_unique<OutputOp>(), 0);
-  b.Connect(recv, avg).Connect(avg, out).BindSource(src, recv).SetRoot(out);
-  return std::move(b.Build()).TakeValue();
-}
-
 TEST(TelemetryDisabledTest, HooksAllocateNothingWhenUninstalled) {
   ForceLinkAllocCounter();
   ASSERT_TRUE(AllocCounter::active());
@@ -224,65 +204,13 @@ TEST(TelemetryTracerTest, TraceScopeRecordsIntoInstalledTracer) {
 
 // --- server-vs-DES snapshot oracle ---------------------------------------
 
-// Pinned overloaded scenario; constants mirror tests/server_oracle_test.cc
-// (integral modeled work, per-batch work under the shed interval, arrival
-// periods coprime with the tick grid).
-constexpr SimTime kOracleHorizon = Millis(3200);
-constexpr double kOracleCpuSpeed = 0.01;
-constexpr int kOracleQueries = 4;
-constexpr SimDuration kOraclePeriods[kOracleQueries] = {
-    Millis(13), Millis(17), Millis(19), Millis(23)};
-
-Batch OracleBatch(QueryId q, SimTime now) {
-  std::vector<Tuple> ts;
-  ts.reserve(100);
-  for (size_t i = 0; i < 100; ++i) {
-    ts.push_back(Tuple(now, 0.0, {Value(static_cast<double>(q) + 1.0)}));
-  }
-  Batch b = MakeBatch(q, /*op=*/0, /*port=*/0, now, std::move(ts));
-  b.header.source = 10 + q;
-  return b;
-}
-
-std::vector<TimedBatch> OracleArrivals() {
-  std::vector<TimedBatch> arrivals;
-  for (SimTime t = 0; t <= kOracleHorizon; t += Millis(1)) {
-    for (int q = 0; q < kOracleQueries; ++q) {
-      if (t % kOraclePeriods[q] != 0) continue;
-      arrivals.push_back(TimedBatch{t, OracleBatch(q, t)});
-    }
-  }
-  return arrivals;
-}
-
-class NullRouter : public BatchRouter {
- public:
-  void RouteBatch(NodeId, QueryId, FragmentId, Batch) override {}
-  void DeliverResult(QueryId, SimTime, const std::vector<Tuple>&) override {}
-};
-
+// The pinned overloaded scenario of server/oracle_driver.h, one fresh set
+// of graphs per runtime.
 std::string DesOracleSnapshot() {
   Telemetry telemetry;
   ScopedInstall install(&telemetry);
-  std::vector<std::unique_ptr<QueryGraph>> graphs;
-  for (int q = 0; q < kOracleQueries; ++q) {
-    graphs.push_back(MakeAvgGraph(q, 10 + q));
-  }
-  EventQueue queue;
-  NullRouter router;
-  NodeOptions options;
-  options.cpu_speed = kOracleCpuSpeed;
-  Node node(0, options, &queue, &router,
-            std::make_unique<BalanceSicShedder>(Rng(7)));
-  for (const auto& g : graphs) node.HostFragment(g.get(), 0);
-  node.Start();
-  std::vector<TimedBatch> arrivals = OracleArrivals();
-  for (TimedBatch& a : arrivals) {
-    Batch* b = &a.batch;
-    queue.Schedule(a.at, [&node, b] { node.Receive(std::move(*b)); });
-  }
-  queue.RunUntil(kOracleHorizon);
-  EXPECT_GT(node.stats().tuples_shed, 0u);  // a valid overloaded scenario
+  OracleRun des = RunOracleDes(MakeOracleGraphs(), kOracleHorizon);
+  EXPECT_GT(des.stats.tuples_shed, 0u);  // a valid overloaded scenario
   std::string snapshot;
   telemetry.metrics().ExportProm(&snapshot, /*include_infra=*/false);
   return snapshot;
@@ -291,25 +219,7 @@ std::string DesOracleSnapshot() {
 std::string ServerOracleSnapshot() {
   Telemetry telemetry;
   ScopedInstall install(&telemetry);
-  std::vector<std::unique_ptr<QueryGraph>> graphs;
-  for (int q = 0; q < kOracleQueries; ++q) {
-    graphs.push_back(MakeAvgGraph(q, 10 + q));
-  }
-  ManualClock clock;
-  ServerOptions opts;
-  opts.workers = 0;
-  opts.cpu_speed = kOracleCpuSpeed;
-  opts.accounting = CostAccounting::kModeled;
-  opts.pace_admission = true;
-  opts.disseminate_sic = false;
-  opts.channel_capacity = 1 << 20;
-  ServerPipeline pipeline(opts, &clock,
-                          std::make_unique<BalanceSicShedder>(Rng(7)));
-  for (const auto& g : graphs) pipeline.AddQuery(g.get());
-  pipeline.Start();
-  std::vector<TimedBatch> arrivals = OracleArrivals();
-  DriveDeterministic(&pipeline, &clock, &arrivals, kOracleHorizon);
-  pipeline.Stop();
+  RunOracleServer(MakeOracleGraphs(), /*workers=*/0, kOracleHorizon);
   std::string snapshot;
   telemetry.metrics().ExportProm(&snapshot, /*include_infra=*/false);
   return snapshot;
