@@ -228,7 +228,7 @@ Status Fsps::Deploy(std::unique_ptr<QueryGraph> graph,
   slot.placement.assign(frags.empty() ? 0 : frags.back() + 1, kInvalidId);
   for (FragmentId frag : frags) {
     NodeId nid = placement.at(frag);
-    nodes_[nid]->HostFragment(graph.get(), frag);
+    THEMIS_RETURN_NOT_OK(nodes_[nid]->HostFragment(graph.get(), frag));
     coordinator->AddHost(nid, nodes_[nid].get());
     slot.placement[frag] = nid;
   }
@@ -385,8 +385,8 @@ void Fsps::ApplyTopologyMutations() {
     // node's links never narrow the epoch.
     SimDuration lookahead =
         network_.MinCrossShardLatency(shard_of_node_, AliveMask());
-    // Unreachable through the Status-validated APIs (SetLinkLatency
-    // rejects non-positive latencies on a sharded engine); kept as the
+    // Unreachable through the Status-validated APIs (TopologyPlan link
+    // edits reject non-positive latencies on a sharded engine); kept as the
     // last-resort guard for direct Network access.
     THEMIS_CHECK(lookahead != 0);
     engine_->SetLookahead(lookahead);
@@ -445,18 +445,6 @@ void Fsps::MarkRecoveryDisturbance(DisturbanceKind kind) {
   // cadence sample already landed here).
   SampleRecovery();
   recovery_.MarkDisturbance(engine_->now(), kind);
-}
-
-Status Fsps::CrashNode(NodeId id) {
-  return PlanTopology().Crash(id).Apply();
-}
-
-Status Fsps::RestoreNode(NodeId id) {
-  return PlanTopology().Restore(id).Apply();
-}
-
-Status Fsps::SetLinkLatency(NodeId a, NodeId b, SimDuration latency) {
-  return PlanTopology().SetLinkLatency(a, b, latency).Apply();
 }
 
 Status Fsps::ValidatePlanOp(const TopologyPlan::Op& op,
@@ -605,7 +593,7 @@ void Fsps::CrashNodeNow(NodeId id) {
   Node* n = node(id);
   if (options_.recovery.enabled) {
     // Baseline the dip before the crash mutates anything: a wave of
-    // CrashNode calls at one instant coalesces into one disturbance.
+    // crashes at one instant coalesces into one disturbance.
     MarkRecoveryDisturbance(DisturbanceKind::kCrashWave);
   }
   n->Crash();
@@ -859,15 +847,12 @@ void Fsps::ReplaceOrphans(QueryId q, NodeId crashed) {
     // Crash-time state semantics. Operator state (windows, panes) lives in
     // the shared QueryGraph, so hosting the fragment elsewhere would
     // silently resume it with the crashed node's live state — a simulation
-    // artifact no real runtime has. kLegacyShared keeps that inheritance
-    // byte-for-byte; kReset deliberately clears the fragment's operators;
+    // artifact no real runtime has. kReset clears the fragment's operators;
     // kCheckpoint restores each from its last image in the crashed node's
     // store (which models a durable backup and survives the crash), then
     // moves the image to the new host so a second crash there restores the
     // right state.
     switch (options_.crash_state) {
-      case CrashStateMode::kLegacyShared:
-        break;
       case CrashStateMode::kReset:
         for (OperatorId oid : graph->fragment_ops(frag)) {
           graph->op(oid)->ResetState();
@@ -883,7 +868,8 @@ void Fsps::ReplaceOrphans(QueryId q, NodeId crashed) {
         break;
       }
     }
-    nodes_[target]->HostFragment(graph, frag);
+    // Deploy validated the query id, the only thing hosting can refuse.
+    THEMIS_CHECK(nodes_[target]->HostFragment(graph, frag).ok());
     coord->AddHost(target, nodes_[target].get());
     churn_stats_.replaced_fragments += 1;
   }

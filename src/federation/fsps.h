@@ -56,16 +56,16 @@ struct FspsOptions {
   /// epochs of the minimum cross-shard link latency. Results are
   /// deterministic run-to-run at any shard count. Multi-shard runs freeze
   /// the *node set* at Start(): add all nodes first. All control-plane
-  /// mutation — deploy/undeploy, CrashNode/RestoreNode, SetLinkLatency —
-  /// stays between RunFor calls; link edits queue and apply at the next
-  /// run boundary, where the epoch width is re-derived.
+  /// mutation — deploy/undeploy and every TopologyPlan — stays between
+  /// RunFor calls; link edits queue and apply at the next run boundary,
+  /// where the epoch width is re-derived.
   int shards = 1;
   /// Runs the parallel engine even at shards == 1 (its single-shard fast
   /// path, which must be byte-identical to SequentialEngine). Used by the
   /// determinism tests and the CI identity byte-diff; no reason to set it
   /// otherwise.
   bool force_parsim_engine = false;
-  /// How CrashNode re-places orphaned fragments. The default keeps the
+  /// How a crash re-places orphaned fragments. The default keeps the
   /// PR 4 round-robin cursor byte-for-byte; kSicAware moves orphans to the
   /// least-overloaded live candidate (see federation/placement.h).
   ReplacementPolicy replacement = ReplacementPolicy::kRoundRobin;
@@ -88,7 +88,7 @@ struct FspsOptions {
   /// Recovery observability (metrics/recovery_tracker.h). When
   /// `recovery.enabled`, RunFor splits its run at the sampling cadence and
   /// feeds every deployed query's SIC into the tracker, and the churn
-  /// control plane (CrashNode / RestoreNode / applied link edits) marks
+  /// control plane (crashes, restores, applied link edits) marks
   /// disturbances so dip depth and time-to-recover are measured per query.
   /// Disabled by default: zero overhead, zero RunFor re-segmentation, every
   /// pre-existing figure byte-identical.
@@ -99,11 +99,10 @@ struct FspsOptions {
   /// trades layout, not semantics (tests/columnar_test.cc and the CI parity
   /// byte-diff pin this). Off by default.
   bool columnar = false;
-  /// What a re-placed fragment's operator state looks like after CrashNode.
-  /// The default keeps the pre-PR-10 shared-graph inheritance byte-for-byte;
-  /// kReset deliberately clears it, kCheckpoint restores from the crashed
-  /// node's checkpoint store (see federation/placement.h).
-  CrashStateMode crash_state = CrashStateMode::kLegacyShared;
+  /// What a re-placed fragment's operator state looks like after a crash:
+  /// kReset clears it, kCheckpoint restores from the crashed node's
+  /// checkpoint store (see federation/placement.h).
+  CrashStateMode crash_state = CrashStateMode::kReset;
   /// Operator-state checkpointing (runtime/checkpoint.h). When enabled,
   /// every node captures images of its hosted operators' state at the
   /// configured cadence (right after the shed-tick pump, so capture does
@@ -122,7 +121,7 @@ struct FspsOptions {
 struct FspsChurnStats {
   uint64_t crashes = 0;
   uint64_t restores = 0;
-  uint64_t latency_updates = 0;    ///< queued SetLinkLatency edits
+  uint64_t latency_updates = 0;    ///< queued link-latency edits
   uint64_t replaced_fragments = 0; ///< orphans moved to live nodes
   uint64_t dropped_queries = 0;    ///< force-undeployed: no live candidates
   uint64_t nodes_added = 0;        ///< mid-run joins (AddNode after Start)
@@ -208,37 +207,9 @@ class Fsps : public BatchRouter {
 
   /// Returns a fresh mutation batch against this federation. Stage ops on
   /// it and commit with Apply(); see federation/topology_plan.h. This is
-  /// the control-plane entry point — the per-call methods below are
-  /// single-op shims kept for source compatibility.
+  /// the only way to change the topology: crash, restore, link edits, joins
+  /// and re-balances.
   TopologyPlan PlanTopology() { return TopologyPlan(this); }
-
-  /// DEPRECATED shim for PlanTopology().Crash(id).Apply().
-  ///
-  /// Fails node `id`: its input buffer drains back to the batch pool,
-  /// in-flight batches addressed to it die at ingress, and every fragment
-  /// it hosted is re-placed onto live nodes (on the crashed node's
-  /// simulation shard when sharded — source drivers and the coordinator are
-  /// shard-pinned). Operator state lives in the shared QueryGraph, so
-  /// window contents migrate with the fragment. Queries with no live
-  /// candidate host are force-undeployed. Errors: NotFound for unknown
-  /// ids, FailedPrecondition if already crashed.
-  Status CrashNode(NodeId id);
-
-  /// DEPRECATED shim for PlanTopology().Restore(id).Apply().
-  ///
-  /// Rejoins a crashed node, empty: it accepts traffic and deployments
-  /// again (fragments do not move back automatically). Errors: NotFound,
-  /// FailedPrecondition if not crashed.
-  Status RestoreNode(NodeId id);
-
-  /// DEPRECATED shim for PlanTopology().SetLinkLatency(a, b, l).Apply().
-  ///
-  /// Queues a link-latency change ((a, b), both directions; kInvalidId is
-  /// the source pseudo-node). The edit — and the re-derived epoch width on
-  /// a sharded engine — takes effect at the next RunFor boundary, never
-  /// mid-epoch. On a sharded engine the latency must stay positive (a
-  /// zero-latency cross-shard link admits no conservative schedule).
-  Status SetLinkLatency(NodeId a, NodeId b, SimDuration latency);
 
   const FspsChurnStats& churn_stats() const { return churn_stats_; }
 
@@ -282,9 +253,9 @@ class Fsps : public BatchRouter {
   /// Validation half of ApplyPlan; mutates only the scratch vectors.
   Status ValidatePlanOp(const TopologyPlan::Op& op,
                         std::vector<char>* scratch_alive) const;
-  // Commit internals: the single-op bodies behind both TopologyPlan and the
-  // deprecated per-call shims. Preconditions were validated; the remaining
-  // Status returns are the commit-time checks (see topology_plan.h).
+  // Commit internals: the single-op bodies behind TopologyPlan.
+  // Preconditions were validated; the remaining Status returns are the
+  // commit-time checks (see topology_plan.h).
   void CrashNodeNow(NodeId id);
   void RestoreNodeNow(NodeId id);
   void SetLinkLatencyNow(NodeId a, NodeId b, SimDuration latency);

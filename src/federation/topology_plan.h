@@ -5,10 +5,7 @@
 // the middle of a batch does not leave the federation half-churned, and
 // multi-op transitions ("add two nodes, wire their LAN links, re-balance")
 // read as one declarative unit instead of a call sequence with hidden
-// ordering constraints.
-//
-// The legacy per-call methods (Fsps::CrashNode and friends) are thin shims
-// over single-op plans; in-tree callers go through TopologyPlan.
+// ordering constraints. It is the only way to change the topology.
 #ifndef THEMIS_FEDERATION_TOPOLOGY_PLAN_H_
 #define THEMIS_FEDERATION_TOPOLOGY_PLAN_H_
 
@@ -47,13 +44,27 @@ class TopologyPlan {
   TopologyPlan(const TopologyPlan&) = delete;
   TopologyPlan& operator=(const TopologyPlan&) = delete;
 
-  /// Stages a node failure (see Fsps::CrashNode for semantics).
+  /// Stages a node failure. On commit, the node's input buffer drains back
+  /// to the batch pool, in-flight batches addressed to it die at ingress,
+  /// and every fragment it hosted is re-placed onto live nodes (on the
+  /// crashed node's simulation shard when sharded — source drivers and the
+  /// coordinator are shard-pinned) by FspsOptions::replacement. A re-placed
+  /// fragment's operators reset, or restore from the crashed node's
+  /// checkpoint store, per FspsOptions::crash_state. Queries with no live
+  /// candidate host are force-undeployed. Errors: NotFound for unknown ids,
+  /// FailedPrecondition if already crashed.
   TopologyPlan& Crash(NodeId id);
-  /// Stages a crashed node's rejoin.
+  /// Stages a crashed node's rejoin, empty: it accepts traffic and
+  /// deployments again (fragments do not move back automatically). Errors:
+  /// NotFound, FailedPrecondition if not crashed.
   TopologyPlan& Restore(NodeId id);
   /// Stages a link-latency change ((a, b), both directions; kInvalidId is
   /// the source pseudo-node). Links to nodes added earlier in this plan are
-  /// legal: use the reserved id AddNode returned.
+  /// legal: use the reserved id AddNode returned. The edit — and the
+  /// re-derived epoch width on a sharded engine — takes effect at the next
+  /// RunFor boundary, never mid-epoch. On a sharded engine the latency must
+  /// stay positive (a zero-latency cross-shard link admits no conservative
+  /// schedule); InvalidArgument otherwise.
   TopologyPlan& SetLinkLatency(NodeId a, NodeId b, SimDuration latency);
   /// Stages a node join and returns the id the node will get — valid for
   /// later ops in this plan (link wiring, group maps) and, after a

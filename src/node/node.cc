@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <string>
 
 #include "common/logging.h"
 
@@ -15,7 +16,11 @@ Node::Node(NodeId id, NodeOptions options, EventQueue* queue,
       router_(router),
       site_(options, std::move(shedder), &hosted_) {}
 
-void Node::HostFragment(const QueryGraph* graph, FragmentId fragment) {
+Status Node::HostFragment(const QueryGraph* graph, FragmentId fragment) {
+  if (graph->id() < 0) {
+    return Status::InvalidArgument("query id " + std::to_string(graph->id()) +
+                                   " is negative");
+  }
   HostedState& hs = hosted_.Get(graph->id());
   auto pos = std::lower_bound(hs.fragments.begin(), hs.fragments.end(),
                               fragment);
@@ -34,6 +39,7 @@ void Node::HostFragment(const QueryGraph* graph, FragmentId fragment) {
       hs.hosted_op[op] = 1;
     }
   }
+  return Status::OK();
 }
 
 void Node::UnhostQuery(QueryId q) {

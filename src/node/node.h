@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/status.h"
 #include "common/time_types.h"
 #include "node/query_row.h"
 #include "node/shed_controller.h"
@@ -56,8 +57,9 @@ class Node {
        std::unique_ptr<Shedder> shedder);
 
   /// Registers a fragment of `graph` as hosted here. The graph must outlive
-  /// the node (or be removed first with UnhostQuery).
-  void HostFragment(const QueryGraph* graph, FragmentId fragment);
+  /// the node (or be removed first with UnhostQuery). InvalidArgument for a
+  /// negative query id: it indexes the dense per-query table.
+  Status HostFragment(const QueryGraph* graph, FragmentId fragment);
 
   /// Removes every fragment of query `q` hosted here: drops its buffered
   /// batches and all per-query state. Safe to call for unknown queries.

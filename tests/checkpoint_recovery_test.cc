@@ -1,12 +1,13 @@
 // Federation-level checkpoint/recovery tests (ROADMAP item 4): crash-time
-// state semantics (kLegacyShared vs kReset vs kCheckpoint), capture riding
-// the shed tick, the byte-compat contract (enabling checkpoints perturbs
-// nothing while no restore happens; sequential == parsim@1 with the feature
-// on), and query-retirement hygiene — panes return to the BatchPool,
+// state semantics (kReset vs kCheckpoint), capture riding the shed tick,
+// the byte-compat contract (enabling checkpoints perturbs nothing while no
+// restore happens; sequential == parsim@1 with the feature on), and
+// query-retirement hygiene — panes return to the BatchPool,
 // images leave every store, repeated deploy/undeploy cycles do not
 // accumulate allocations (the ASan job covers this file too).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <utility>
@@ -14,6 +15,7 @@
 
 #include "common/alloc_counter.h"
 #include "federation/fsps.h"
+#include "runtime/checkpoint.h"
 #include "workload/workloads.h"
 
 namespace themis {
@@ -63,7 +65,7 @@ CrashRun RunCrashExperiment(CrashStateMode mode, bool checkpoints,
   EXPECT_TRUE(fsps.AttachSources(1, built.sources).ok());
 
   fsps.RunFor(kCrashAt);
-  EXPECT_TRUE(fsps.CrashNode(victim).ok());
+  EXPECT_TRUE(fsps.PlanTopology().Crash(victim).Apply().ok());
   fsps.RunFor(kDrain);
 
   CrashRun r;
@@ -79,24 +81,45 @@ CrashRun RunCrashExperiment(CrashStateMode mode, bool checkpoints,
   return r;
 }
 
-// Satellite 1: the legacy shared-graph artifact, pinned as explicit policy.
-// kLegacyShared lets the re-placed fragment inherit the crashed node's
-// window contents through the shared QueryGraph (crash-survival for free —
-// physically wrong, historically the only behaviour); kReset models an
-// actual cold standby, so the released pane carries strictly less SIC.
-TEST(CrashStateModeTest, LegacyInheritsStateResetLosesIt) {
-  CrashRun legacy =
-      RunCrashExperiment(CrashStateMode::kLegacyShared, /*checkpoints=*/false);
-  CrashRun reset =
-      RunCrashExperiment(CrashStateMode::kReset, /*checkpoints=*/false);
+// The default crash semantics are honest: a re-placed fragment must not
+// resume with the crashed node's window contents through the shared
+// QueryGraph. Right after a mid-pane crash under default FspsOptions, every
+// re-placed operator's image equals its image after ResetState() — while
+// just before the crash at least one of them held pane state.
+TEST(CrashStateModeTest, DefaultCrashResetsReplacedOperators) {
+  Fsps fsps;
+  fsps.AddNode();
+  NodeId victim = fsps.AddNode();
+  WorkloadFactory factory(9);
+  AggregateQueryOptions ao;
+  ao.window = kWindow;
+  BuiltQuery built = factory.MakeAvg(1, ao);
+  ASSERT_TRUE(fsps.Deploy(std::move(built.graph), {{0, victim}}).ok());
+  ASSERT_TRUE(fsps.AttachSources(1, built.sources).ok());
+  fsps.RunFor(kCrashAt);
 
-  // Both runs survive the crash and deliver the released pane.
-  ASSERT_GT(legacy.result_tuples, 0u);
-  ASSERT_GT(reset.result_tuples, 0u);
-  ASSERT_GT(reset.sic, 0.0);
-  ASSERT_GT(reset.result_sic_mass, 0.0);
-  // The inherited pane holds ~5 s of pre-crash tuples the reset run lost.
-  EXPECT_GT(legacy.result_sic_mass, reset.result_sic_mass);
+  const QueryGraph* graph = fsps.graph(1);
+  auto image = [graph](OperatorId oid) {
+    CheckpointWriter w;
+    graph->op(oid)->Checkpoint(&w);
+    return w.Take();
+  };
+  const std::vector<OperatorId>& ops = graph->fragment_ops(0);
+  std::vector<std::vector<uint8_t>> before_crash, after_crash;
+  for (OperatorId oid : ops) before_crash.push_back(image(oid));
+
+  ASSERT_TRUE(fsps.PlanTopology().Crash(victim).Apply().ok());
+  ASSERT_EQ(fsps.churn_stats().replaced_fragments, 1u);
+  for (OperatorId oid : ops) after_crash.push_back(image(oid));
+
+  bool held_state = false;
+  for (size_t i = 0; i < ops.size(); ++i) {
+    graph->op(ops[i])->ResetState();
+    std::vector<uint8_t> reset = image(ops[i]);
+    EXPECT_EQ(after_crash[i], reset) << "operator " << ops[i];
+    held_state = held_state || before_crash[i] != reset;
+  }
+  EXPECT_TRUE(held_state);
 }
 
 // The tentpole: kCheckpoint restores the re-placed fragment from the
@@ -108,6 +131,12 @@ TEST(CrashStateModeTest, CheckpointRestoreRecoversMostOfTheLostState) {
                                      /*checkpoints=*/true);
   CrashRun reset =
       RunCrashExperiment(CrashStateMode::kReset, /*checkpoints=*/false);
+
+  // The reset run survives the crash too and delivers the released pane,
+  // carrying only the post-crash tuples.
+  ASSERT_GT(reset.result_tuples, 0u);
+  ASSERT_GT(reset.sic, 0.0);
+  ASSERT_GT(reset.result_sic_mass, 0.0);
 
   // The crashed node had been capturing all along...
   EXPECT_GT(ckpt.crashed_store.taken, 0u);
@@ -146,15 +175,15 @@ TEST(CrashStateModeTest, ApproximateModeSkipsRecapturesAndStillRestores) {
   ASSERT_GT(approx.result_tuples, 0u);
 }
 
-// Byte-compat contract half 1: with crash_state = kLegacyShared, turning
+// Byte-compat contract half 1: with crash_state = kReset, turning
 // checkpoint capture ON must change nothing observable — capture does zero
 // simulated work and nothing ever restores, so every figure (SIC, result
 // count, node totals) is bit-identical to the checkpoint-off run.
 TEST(CheckpointDeterminismTest, CaptureAloneIsByteIdenticalToOff) {
   CrashRun off =
-      RunCrashExperiment(CrashStateMode::kLegacyShared, /*checkpoints=*/false);
+      RunCrashExperiment(CrashStateMode::kReset, /*checkpoints=*/false);
   CrashRun on =
-      RunCrashExperiment(CrashStateMode::kLegacyShared, /*checkpoints=*/true);
+      RunCrashExperiment(CrashStateMode::kReset, /*checkpoints=*/true);
 
   // The on-run genuinely captured (this is not a vacuous comparison)...
   EXPECT_GT(on.crashed_store.taken, 0u);
@@ -219,7 +248,7 @@ TEST(CheckpointDeterminismTest, ShardedCrashRestoreIsRunToRunDeterministic) {
     EXPECT_TRUE(fsps.Deploy(std::move(built.graph), placement).ok());
     EXPECT_TRUE(fsps.AttachSources(1, built.sources).ok());
     fsps.RunFor(Millis(3370));
-    EXPECT_TRUE(fsps.CrashNode(nodes[3]).ok());
+    EXPECT_TRUE(fsps.PlanTopology().Crash(nodes[3]).Apply().ok());
     fsps.RunFor(Seconds(8));
     return std::make_pair(fsps.AllQuerySics(),
                           fsps.node(nodes[3])->checkpoint_store()->stats());

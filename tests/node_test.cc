@@ -220,5 +220,17 @@ TEST_F(NodeTest, UnknownQueryBatchIsDroppedGracefully) {
   EXPECT_TRUE(router_.result_sic.empty());
 }
 
+// A negative query id is refused instead of indexing the dense per-query
+// table out of bounds; the node stays usable.
+TEST_F(NodeTest, HostFragmentRejectsNegativeQueryId) {
+  auto bad = MakeAvgGraph(-1, 10);
+  auto good = MakeAvgGraph(1, 10);
+  Node& node = MakeNode();
+  EXPECT_TRUE(node.HostFragment(bad.get(), 0).IsInvalidArgument());
+  EXPECT_TRUE(node.HostedQueries().empty());
+  EXPECT_TRUE(node.HostFragment(good.get(), 0).ok());
+  EXPECT_EQ(node.HostedQueries(), (std::vector<QueryId>{1}));
+}
+
 }  // namespace
 }  // namespace themis

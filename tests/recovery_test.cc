@@ -157,7 +157,7 @@ RunDigest RunRandomFaultInjection(uint64_t seed, int shards,
         if (live.size() <= 2) break;
         NodeId victim = live[rng.UniformInt(
             0, static_cast<int64_t>(live.size()) - 1)];
-        EXPECT_TRUE(fsps.CrashNode(victim).ok());
+        EXPECT_TRUE(fsps.PlanTopology().Crash(victim).Apply().ok());
         break;
       }
       case 1: {  // restore a crashed node
@@ -166,7 +166,7 @@ RunDigest RunRandomFaultInjection(uint64_t seed, int shards,
         std::set<NodeId> alive(live.begin(), live.end());
         for (NodeId id = 0; id < kNodes; ++id) {
           if (alive.count(id) == 0) {
-            EXPECT_TRUE(fsps.RestoreNode(id).ok());
+            EXPECT_TRUE(fsps.PlanTopology().Restore(id).Apply().ok());
             break;
           }
         }
@@ -176,8 +176,9 @@ RunDigest RunRandomFaultInjection(uint64_t seed, int shards,
         NodeId a = static_cast<NodeId>(rng.UniformInt(0, kNodes - 1));
         NodeId b = static_cast<NodeId>(rng.UniformInt(0, kNodes - 1));
         if (a == b) break;
+        SimDuration latency = Millis(rng.UniformInt(5, 120));
         EXPECT_TRUE(
-            fsps.SetLinkLatency(a, b, Millis(rng.UniformInt(5, 120))).ok());
+            fsps.PlanTopology().SetLinkLatency(a, b, latency).Apply().ok());
         break;
       }
       default:  // quiet segment
