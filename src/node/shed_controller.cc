@@ -37,14 +37,6 @@ void ShedController::RemoveQuery(QueryId q) {
   ib_.RemoveQuery(q);
 }
 
-SimTime ShedController::Watermark(SimTime now) const {
-  SimTime wm = now - options_.window_grace;
-  if (!ib_.empty()) {
-    wm = std::min(wm, ib_.batches().front().header.created);
-  }
-  return wm;
-}
-
 void ShedController::Admit(QueryRow& row, QueryId q, SimTime now, double sic,
                            uint64_t tuples) {
   row.Accepted(options_.stw).Add(now, sic, tuples);

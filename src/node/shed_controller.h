@@ -9,6 +9,8 @@
 #ifndef THEMIS_NODE_SHED_CONTROLLER_H_
 #define THEMIS_NODE_SHED_CONTROLLER_H_
 
+#include <algorithm>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -75,7 +77,17 @@ class ShedController {
   /// creation time of the oldest batch still buffered: closing a window
   /// while one input stream's batches for it still queue would starve
   /// multi-input operators under overload.
-  SimTime Watermark(SimTime now) const;
+  SimTime Watermark(SimTime now) const {
+    return std::min(now - options_.window_grace, OldestBuffered());
+  }
+  /// Creation time of the oldest buffered batch; kNothingBuffered when the
+  /// IB is empty.
+  SimTime OldestBuffered() const {
+    return ib_.empty() ? kNothingBuffered
+                       : ib_.batches().front().header.created;
+  }
+  static constexpr SimTime kNothingBuffered =
+      std::numeric_limits<SimTime>::max();
   /// Admission accounting of one batch popped from the IB for execution.
   void Admit(QueryRow& row, QueryId q, SimTime now, double sic,
              uint64_t tuples);

@@ -200,6 +200,15 @@ void PassThroughOperator::ReleaseState(BatchPool* pool) {
 
 void PassThroughOperator::Advance(SimTime watermark, std::vector<Tuple>* out) {
   (void)watermark;
+  // Hand the pending buffer over instead of copying it when `out` is empty
+  // and its buffer fits what was pending without being larger than ours:
+  // the operator never keeps more capacity than it grew to itself, and the
+  // buffer it gets back holds its last batch without regrowing.
+  if (out->empty() && out->capacity() >= pending_.size() &&
+      out->capacity() <= pending_.capacity()) {
+    out->swap(pending_);
+    return;
+  }
   out->insert(out->end(), pending_.begin(), pending_.end());
   pending_.clear();
 }

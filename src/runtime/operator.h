@@ -193,6 +193,9 @@ class PassThroughOperator : public Operator {
       : Operator(std::move(name), cost_us_per_tuple) {}
 
   void Ingest(const std::vector<Tuple>& tuples, int port) override;
+  /// Emits the pending tuples in ingest order. Into an empty `out` whose
+  /// capacity lies between the pending size and the pending capacity, the
+  /// two buffers are swapped rather than copied.
   void Advance(SimTime watermark, std::vector<Tuple>* out) override;
   bool IsStatelessPassThrough() const override { return true; }
   void Checkpoint(CheckpointWriter* w) const override;

@@ -32,35 +32,45 @@ bool ExecNode::FlushPending() {
   return true;
 }
 
-bool ExecNode::RouteOutputs(const std::vector<Tuple>& outputs, bool charged) {
+bool ExecNode::RouteOutputs(bool charged) {
   if (op_id_ == graph_->root()) {
-    site_->DeliverResult(graph_->id(), outputs, site_->Now());
+    site_->DeliverResult(graph_->id(), out_, site_->Now());
+    out_.clear();
     return true;
   }
   SimTime now = site_->Now();
+  const std::vector<Edge>& edges = graph_->out_edges(op_id_);
+  const size_t n = out_.size();
   bool all_pushed = true;
-  for (const Edge& e : graph_->out_edges(op_id_)) {
+  for (size_t i = 0; i < edges.size(); ++i) {
+    const Edge& e = edges[i];
     ExecNode* consumer = peers_[e.to];
     // Mirror the DES: the consumer's ingest cost is charged by the producer
     // at emission time (Node::RouteOutputs), even if the push then parks in
     // the channel for a while.
     if (charged) {
-      site_->ChargeModeled(static_cast<double>(outputs.size()) *
+      site_->ChargeModeled(static_cast<double>(n) *
                            graph_->op(e.to)->cost_us_per_tuple() /
                            site_->cpu_speed());
     }
-    Batch b = site_->AcquireBatch();
+    Batch b;
+    if (i + 1 < edges.size()) {
+      b = site_->AcquireBatch();
+      b.tuples.assign(out_.begin(), out_.end());
+    } else {
+      b.tuples = std::move(out_);
+    }
     b.header.query_id = graph_->id();
     b.header.dest_op = e.to;
     b.header.dest_port = e.port;
     b.header.created = now;
-    b.tuples.assign(outputs.begin(), outputs.end());
     b.RefreshHeaderSic();
     if (!consumer->input_.TryPush(&b, this, sched_)) {
       pending_.push_back(PendingPush{&consumer->input_, std::move(b)});
       all_pushed = false;
     }
   }
+  out_.clear();
   return all_pushed;
 }
 
@@ -85,13 +95,18 @@ RunStatus ExecNode::RunSlice() {
     } else {
       op->Ingest(b->tuples, b->header.dest_port);
     }
-    site_->ReleaseBatch(std::move(*b));
+    // The consumed buffer becomes the next output buffer if the last one
+    // left downstream; otherwise it is freed here, off the site lock (on
+    // this path only fan-out copies draw from the site pool).
+    if (out_.capacity() == 0) {
+      out_ = std::move(b->tuples);
+      out_.clear();
+    }
     input_.GrantCredit(sched_);
   }
 
-  scratch_.clear();
-  op->Advance(site_->Watermark(), &scratch_);
-  bool ok = scratch_.empty() || RouteOutputs(scratch_, charged);
+  op->Advance(site_->Watermark(), &out_);
+  bool ok = out_.empty() || RouteOutputs(charged);
 
   if (measured) {
     site_->RecordMeasuredBusy(

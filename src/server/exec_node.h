@@ -4,6 +4,12 @@
 // the root, to the site's result sink. A full downstream channel pauses the
 // node (pending emissions are stashed, kBlocked) until the credit grant
 // wakes it.
+//
+// Tuple buffers travel with the data: the buffer of a consumed input batch
+// becomes the node's next output buffer, a pass-through operator swaps its
+// pending buffer into it, and the last out-edge's batch takes it along.
+// Under measured accounting, a slice that neither delivers results nor
+// fans out takes no site lock.
 #ifndef THEMIS_SERVER_EXEC_NODE_H_
 #define THEMIS_SERVER_EXEC_NODE_H_
 
@@ -27,18 +33,19 @@ class ServerSite {
   /// Current time on the site clock (microseconds).
   virtual SimTime Now() const = 0;
   /// Window-closing watermark: min(now - grace, oldest queued IB batch).
+  /// Lock-free.
   virtual SimTime Watermark() const = 0;
   /// Adds modeled work (already divided by cpu_speed) to the site's busy
   /// accounting. No-op under measured accounting.
   virtual void ChargeModeled(double work_us) = 0;
   /// Adds measured busy time from a task slice. No-op under modeled
-  /// accounting.
+  /// accounting. Lock-free.
   virtual void RecordMeasuredBusy(SimDuration busy_us) = 0;
   /// Delivers root-operator emissions to the query's result sink.
   virtual void DeliverResult(QueryId query, const std::vector<Tuple>& results,
                              SimTime now) = 0;
+  /// An empty batch from the site pool.
   virtual Batch AcquireBatch() = 0;
-  virtual void ReleaseBatch(Batch b) = 0;
   /// True when busy time is measured from the wall clock (real runs) rather
   /// than modeled from operator costs (oracle runs).
   virtual bool measured_accounting() const = 0;
@@ -70,9 +77,11 @@ class ExecNode : public Task {
  private:
   /// Re-pushes stashed emissions; false while still blocked.
   bool FlushPending();
-  /// Routes `outputs` along the operator's out-edges (or to the result
-  /// sink at the root); false if any push blocked (remainder stashed).
-  bool RouteOutputs(const std::vector<Tuple>& outputs, bool charged);
+  /// Routes `out_` along the operator's out-edges (or to the result sink
+  /// at the root); false if any push blocked (remainder stashed). The last
+  /// out-edge's batch takes `out_`'s buffer; earlier edges copy into pool
+  /// batches.
+  bool RouteOutputs(bool charged);
 
   ServerSite* site_;
   Scheduler* sched_;
@@ -90,7 +99,9 @@ class ExecNode : public Task {
     Batch batch;
   };
   std::deque<PendingPush> pending_;
-  std::vector<Tuple> scratch_;
+  // Output buffer of the next Advance: the buffer of a consumed input batch
+  // whenever the previous one left with an emission.
+  std::vector<Tuple> out_;
 };
 
 }  // namespace themis

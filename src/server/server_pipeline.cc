@@ -86,6 +86,10 @@ void ServerPipeline::Stop() {
   }
   if (ticker_.joinable()) ticker_.join();
   sched_.Stop();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    FoldMeasuredBusyLocked();
+  }
   started_ = false;
 }
 
@@ -116,6 +120,7 @@ bool ServerPipeline::Push(Batch batch) {
   if (!site_.Ingest(std::move(batch), clock_->NowMicros(), hq)) {
     return true;  // unknown query: dropped (and recycled) at ingress
   }
+  PublishOldestBufferedLocked();
   if (timed) {
     // stamp_us covers stamping and buffering; ingest_us adds the lock wait.
     uint64_t stamp_t1 = tel->tracer().NowMicros();
@@ -150,6 +155,7 @@ RunStatus ServerPipeline::IngressSlice() {
         std::optional<Batch> b = site_.ib().Pop();
         WakeSourcesIfDrainedLocked();
         if (!b) return RunStatus::kIdle;
+        PublishOldestBufferedLocked();
         staged_ = std::move(*b);
       }
       q = staged_->header.query_id;
@@ -203,7 +209,25 @@ void ServerPipeline::ChargeModeledLocked(double work_us) {
   site_.ChargeBusy(w);
 }
 
+void ServerPipeline::FoldMeasuredBusyLocked() {
+  SimDuration busy = unfolded_busy_.exchange(0, std::memory_order_acq_rel);
+  if (busy != 0) site_.ChargeBusy(busy);
+}
+
+void ServerPipeline::PublishOldestBufferedLocked() {
+  SimTime oldest = site_.OldestBuffered();
+  // Skip redundant stores: every worker reads this line on every slice.
+  if (oldest_buffered_.load(std::memory_order_relaxed) != oldest) {
+    oldest_buffered_.store(oldest, std::memory_order_release);
+  }
+}
+
 SimTime ServerPipeline::Watermark() const {
+  return std::min(clock_->NowMicros() - options_.window_grace,
+                  oldest_buffered_.load(std::memory_order_acquire));
+}
+
+SimTime ServerPipeline::LockedWatermark() const {
   std::lock_guard<std::mutex> lock(mu_);
   return site_.Watermark(clock_->NowMicros());
 }
@@ -223,8 +247,9 @@ void ServerPipeline::RecordMeasuredBusy(SimDuration busy_us) {
         .GetHistogram("infra.server.execute_us")
         ->Observe(static_cast<double>(busy_us));
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  site_.ChargeBusy(busy_us);
+  if (busy_us != 0) {
+    unfolded_busy_.fetch_add(busy_us, std::memory_order_relaxed);
+  }
 }
 
 void ServerPipeline::DeliverResult(QueryId query,
@@ -244,14 +269,10 @@ Batch ServerPipeline::AcquireBatch() {
   return site_.pool().Acquire();
 }
 
-void ServerPipeline::ReleaseBatch(Batch b) {
-  std::lock_guard<std::mutex> lock(mu_);
-  site_.pool().Release(std::move(b));
-}
-
 void ServerPipeline::TickPhase1() {
   {
     std::lock_guard<std::mutex> lock(mu_);
+    FoldMeasuredBusyLocked();
     site_.RollInterval();
   }
   // Uncharged window pump: ascending queries, pump order within a query,
@@ -280,7 +301,10 @@ void ServerPipeline::TickPhase2() {
         if (hq.results) hq.SetSic(hq.results->tracker.QuerySic(now));
       }
     }
-    if (site_.DetectAndShed(now, capacity)) WakeSourcesIfDrainedLocked();
+    if (site_.DetectAndShed(now, capacity)) {
+      PublishOldestBufferedLocked();
+      WakeSourcesIfDrainedLocked();
+    }
   }
   if (timed) {
     telemetry::MetricRegistry& m = tel->metrics();
@@ -348,6 +372,15 @@ void ServerPipeline::Quiesce() {
   } else {
     sched_.RunUntilIdle();
   }
+  std::lock_guard<std::mutex> lock(mu_);
+  FoldMeasuredBusyLocked();
+}
+
+ServerStats ServerPipeline::stats() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  ServerStats s = site_.stats();
+  s.busy_time += unfolded_busy_.load(std::memory_order_acquire);
+  return s;
 }
 
 void ServerPipeline::DriveTick() {

@@ -4,7 +4,11 @@
 // the controller guarded by the site lock. Sources Push() batches from any
 // thread; the ingress task admits them; execution nodes process them under
 // credit-based backpressure; a shed-timer tick prunes the input buffer as
-// §6 prescribes.
+// §6 prescribes. Execution nodes read the window watermark and record
+// measured busy time without the site lock: the site publishes the input
+// buffer's oldest creation time to an atomic whenever the buffer changes,
+// and measured busy time collects in an atomic that is folded into the
+// controller before each interval rollover and wherever it is read.
 //
 // Two accounting modes:
 //  - kMeasured (real runs): busy time is measured per task slice on the
@@ -18,6 +22,7 @@
 #ifndef THEMIS_SERVER_SERVER_PIPELINE_H_
 #define THEMIS_SERVER_SERVER_PIPELINE_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
@@ -136,14 +141,18 @@ class ServerPipeline : private ServerSite {
 
   // --- Introspection ---------------------------------------------------
   /// Snapshot of the counters, taken under the site lock (safe to call
-  /// from any thread while the pipeline runs).
-  ServerStats stats() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return site_.stats();
-  }
+  /// from any thread while the pipeline runs). `busy_time` includes the
+  /// measured busy time not yet folded into the controller.
+  ServerStats stats() const;
   const ServerOptions& options() const { return options_; }
   size_t CurrentCapacity() const;
   size_t ib_tuples() const;
+  /// The window watermark execution nodes read: ShedController::Watermark
+  /// from the published oldest creation time, without the site lock.
+  SimTime Watermark() const override;
+  /// ShedController::Watermark, taken under the site lock: the value the
+  /// lock-free read stands in for.
+  SimTime LockedWatermark() const;
   /// Cumulative admitted SIC/tuples since Start (oracle comparisons).
   double AcceptedSicTotal(QueryId q) const;
   uint64_t AcceptedTuplesTotal(QueryId q) const;
@@ -169,13 +178,11 @@ class ServerPipeline : private ServerSite {
 
   // ServerSite interface (thread-safe; called from task slices).
   SimTime Now() const override { return clock_->NowMicros(); }
-  SimTime Watermark() const override;
   void ChargeModeled(double work_us) override;
   void RecordMeasuredBusy(SimDuration busy_us) override;
   void DeliverResult(QueryId query, const std::vector<Tuple>& results,
                      SimTime now) override;
   Batch AcquireBatch() override;
-  void ReleaseBatch(Batch b) override;
   bool measured_accounting() const override {
     return options_.accounting == CostAccounting::kMeasured;
   }
@@ -186,6 +193,11 @@ class ServerPipeline : private ServerSite {
   void MaybeCaptureCheckpoints();
   /// Adds modeled work to busy-until / interval accounting (mu_ held).
   void ChargeModeledLocked(double work_us);
+  /// Charges the measured busy time recorded off the lock (mu_ held).
+  void FoldMeasuredBusyLocked();
+  /// Publishes the IB's oldest creation time for Watermark (mu_ held; call
+  /// after every IB change).
+  void PublishOldestBufferedLocked();
   /// Phase 1: cost-model interval rollover + uncharged window-pump wakeups.
   void TickPhase1();
   /// Phase 2: capacity, dissemination, detect + shed.
@@ -206,6 +218,13 @@ class ServerPipeline : private ServerSite {
   ShedController site_;
   SimTime busy_until_ = 0;
   bool source_gate_closed_ = false;
+  /// site_.OldestBuffered() as of the last IB change; read without mu_ by
+  /// every slice. Its own cache line: the fields around it change on every
+  /// admission, `unfolded_busy_` on every slice.
+  alignas(64) std::atomic<SimTime> oldest_buffered_{
+      ShedController::kNothingBuffered};
+  /// Measured busy time recorded by task slices, not yet charged to site_.
+  alignas(64) std::atomic<SimDuration> unfolded_busy_{0};
   /// Batch popped from the IB whose downstream push blocked; admission
   /// accounting happens only once it lands.
   std::optional<Batch> staged_;

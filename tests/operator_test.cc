@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "runtime/batch_pool.h"
 #include "runtime/operator.h"
 #include "runtime/operators/aggregates.h"
 #include "runtime/operators/receiver.h"
@@ -74,6 +75,47 @@ TEST(PassThroughOperatorTest, ForwardsTuplesWithSicUntouched) {
   out.clear();
   op.Advance(0, &out);
   EXPECT_TRUE(out.empty());
+}
+
+// Into an empty output whose buffer fits the pending tuples, Advance hands
+// the pending buffer itself over (no copy) and keeps the output's former
+// buffer; an output larger than the pending buffer gets a copy instead, so
+// the operator never keeps more capacity than it grew to itself.
+TEST(PassThroughOperatorTest, AdvanceHandsOffPendingBufferWithoutGrowingIt) {
+  BatchPool pool;
+  std::vector<Tuple> in;
+  for (int i = 0; i < 8; ++i) in.push_back(T(10 + i, 0.125, i));
+
+  PassThroughOperator op("pt", 0.1);
+  op.Ingest(in, 0);  // pending: exactly 8 tuples of capacity
+  std::vector<Tuple> out;
+  out.reserve(8);
+  const Tuple* out_buffer = out.data();
+  op.Advance(0, &out);
+  ASSERT_EQ(out.size(), 8u);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(out[i].timestamp, 10 + i);
+    EXPECT_EQ(out[i].values[0], Value(static_cast<double>(i)));
+  }
+  EXPECT_NE(out.data(), out_buffer);  // the tuples were not copied into it
+  op.ReleaseState(&pool);
+  Batch kept = pool.Acquire();
+  EXPECT_EQ(kept.tuples.data(), out_buffer);  // swapped buffers
+  EXPECT_EQ(kept.tuples.capacity(), 8u);
+
+  PassThroughOperator small("pt", 0.1);
+  small.Ingest({T(1, 0.5, 1.0), T(2, 0.5, 2.0)}, 0);  // capacity 2
+  std::vector<Tuple> big;
+  big.reserve(1024);
+  const Tuple* big_buffer = big.data();
+  small.Advance(0, &big);
+  ASSERT_EQ(big.size(), 2u);
+  EXPECT_EQ(big[0].timestamp, 1);
+  EXPECT_EQ(big[1].timestamp, 2);
+  EXPECT_EQ(big.data(), big_buffer);  // copied into the caller's buffer
+  small.ReleaseState(&pool);
+  Batch retained = pool.Acquire();
+  EXPECT_LE(retained.tuples.capacity(), 2u);
 }
 
 // The Figure 2 example: a query with operators a (root), b, c over 2 sources.

@@ -20,6 +20,7 @@
 #include "shedding/balance_sic_shedder.h"
 #include "shedding/cost_model.h"
 #include "sic/sic.h"
+#include "telemetry/telemetry.h"
 
 namespace themis {
 namespace {
@@ -411,6 +412,235 @@ TEST(ServerPipelineTest, TickFeedsResultSicAndModeledCapacityToTheShedder) {
   // kModeled: the cost-model estimate itself, not scaled by the workers.
   EXPECT_EQ(recorder->capacity, expected.EstimateCapacity(opts.shed_interval));
   EXPECT_EQ(recorder->capacity, p.CurrentCapacity());
+}
+
+// A receiver fanning out to two aggregates: the first out-edge's batch is a
+// copy, the last one takes the receiver's buffer, and both branches see
+// every tuple — each delivers its window's result with the pane's full SIC.
+TEST(ServerPipelineTest, FanOutDeliversEveryTupleOnEachEdge) {
+  ManualClock clock;
+  ServerOptions opts;
+  opts.workers = 0;
+  QueryBuilder b(1, "fan-out");
+  OperatorId recv = b.Add(std::make_unique<ReceiverOp>(), 0);
+  OperatorId out = b.Add(std::make_unique<OutputOp>(), 0);
+  for (int i = 0; i < 2; ++i) {
+    OperatorId avg = b.Add(
+        std::make_unique<AggregateOp>(AggregateKind::kAvg, 0,
+                                      WindowSpec::TumblingTime(kSecond)),
+        0);
+    b.Connect(recv, avg).Connect(avg, out);
+  }
+  b.BindSource(10, recv).SetRoot(out);
+  auto graph = std::move(b.Build()).TakeValue();
+  ServerPipeline p(opts, &clock,
+                   std::make_unique<BalanceSicShedder>(Rng(1)));
+  ASSERT_TRUE(p.AddQuery(graph.get()).ok());
+  p.Start();
+  for (SimTime t : {Millis(100), Millis(200), Millis(300)}) {
+    clock.AdvanceTo(t);
+    ASSERT_TRUE(p.Push(SourceBatch(1, 10, t, 10, 42.0)));
+    p.RunUntilIdle();
+  }
+  while (p.NextTickTime() <= Millis(1500)) {
+    clock.AdvanceTo(p.NextTickTime());
+    p.DriveTick();
+  }
+  p.Stop();
+
+  ASSERT_EQ(p.AcceptedTuplesTotal(1), 30u);
+  EXPECT_EQ(p.ResultTuplesTotal(1), 2u);
+  EXPECT_NEAR(p.ResultSicTotal(1), 2 * p.AcceptedSicTotal(1), 1e-12);
+}
+
+// A receiver that burns ~100 us of wall clock per ingest, so every slice
+// that consumes a batch measures a non-zero busy time.
+class SlowReceiverOp : public ReceiverOp {
+ public:
+  void Ingest(const std::vector<Tuple>& tuples, int port) override {
+    auto until = std::chrono::steady_clock::now() +
+                 std::chrono::microseconds(100);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+    ReceiverOp::Ingest(tuples, port);
+  }
+};
+
+// Measured busy time is recorded off the site lock; every read of it —
+// stats() between ticks, the tick's interval rollover, stats() after
+// Quiesce and after Stop — must still account each slice exactly once: the
+// sum of the per-slice times the execute histogram observed.
+TEST(ServerPipelineTest, MeasuredBusyTimeIsExactWhereverItIsRead) {
+  telemetry::Telemetry tel;
+  telemetry::Install(&tel);
+  ManualClock clock;
+  ServerOptions opts;
+  opts.workers = 0;
+  opts.accounting = CostAccounting::kMeasured;
+  QueryBuilder b(1, "slow");
+  OperatorId recv = b.Add(std::make_unique<SlowReceiverOp>(), 0);
+  OperatorId avg = b.Add(
+      std::make_unique<AggregateOp>(AggregateKind::kAvg, 0,
+                                    WindowSpec::TumblingTime(kSecond)),
+      0);
+  OperatorId out = b.Add(std::make_unique<OutputOp>(), 0);
+  b.Connect(recv, avg).Connect(avg, out).BindSource(10, recv).SetRoot(out);
+  auto graph = std::move(b.Build()).TakeValue();
+  ServerPipeline p(opts, &clock,
+                   std::make_unique<BalanceSicShedder>(Rng(1)));
+  ASSERT_TRUE(p.AddQuery(graph.get()).ok());
+  p.Start();
+  const telemetry::Histogram* execute =
+      tel.metrics().GetHistogram("infra.server.execute_us");
+  auto observed = [&] { return static_cast<SimDuration>(execute->Sum()); };
+
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(p.Push(SourceBatch(1, 10, 0, 10, 1)));
+  p.RunUntilIdle();  // slices ran; nothing folded their busy time yet
+  ServerStats before_tick = p.stats();
+  EXPECT_GE(before_tick.busy_time, 5 * 100);
+  EXPECT_EQ(before_tick.busy_time, observed());
+
+  // The rollover charges the interval with all of it: capacity is the
+  // estimate from exactly these tuples and this busy time (x1 worker).
+  CostModel expected;
+  expected.RecordInterval(before_tick.tuples_processed, before_tick.busy_time);
+  clock.AdvanceTo(p.NextTickTime());
+  p.DriveTick();
+  EXPECT_EQ(p.CurrentCapacity(), expected.EstimateCapacity(opts.shed_interval));
+  EXPECT_EQ(p.stats().busy_time, observed());
+
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(p.Push(SourceBatch(1, 10, clock.NowMicros(), 10, 1)));
+  }
+  p.Quiesce();
+  EXPECT_EQ(p.stats().busy_time, observed());
+
+  ASSERT_TRUE(p.Push(SourceBatch(1, 10, clock.NowMicros(), 10, 1)));
+  p.RunUntilIdle();
+  p.Stop();
+  EXPECT_GE(p.stats().busy_time, 11 * 100);
+  EXPECT_EQ(p.stats().busy_time, observed());
+  telemetry::Uninstall();
+}
+
+// Records, at every Advance, the watermark its execution node passed in
+// (read without the site lock) next to ShedController::Watermark taken
+// under the lock at the same instant.
+class WatermarkProbeOp : public ReceiverOp {
+ public:
+  void Advance(SimTime watermark, std::vector<Tuple>* out) override {
+    seen.emplace_back(watermark, pipeline->LockedWatermark());
+    ReceiverOp::Advance(watermark, out);
+  }
+
+  const ServerPipeline* pipeline = nullptr;
+  std::vector<std::pair<SimTime, SimTime>> seen;
+};
+
+// The lock-free watermark equals the controller's at every step of a
+// caller-driven run: arrivals, paced admissions, window pumps and shed
+// ticks that prune the input buffer. Every batch arrives 250 ms after its
+// creation, so whenever the buffer holds one, the oldest buffered batch,
+// not the 200 ms grace, sets the watermark.
+TEST(ServerPipelineTest, LockFreeWatermarkMatchesTheControllerAtEveryStep) {
+  ManualClock clock;
+  ServerOptions opts = OracleServerOptions(0);
+  QueryBuilder b(1, "probe");
+  auto probe_op = std::make_unique<WatermarkProbeOp>();
+  WatermarkProbeOp* probe = probe_op.get();
+  OperatorId recv = b.Add(std::move(probe_op), 0);
+  OperatorId avg = b.Add(
+      std::make_unique<AggregateOp>(AggregateKind::kAvg, 0,
+                                    WindowSpec::TumblingTime(kSecond)),
+      0);
+  OperatorId out = b.Add(std::make_unique<OutputOp>(), 0);
+  b.Connect(recv, avg).Connect(avg, out).BindSource(10, recv).SetRoot(out);
+  auto graph = std::move(b.Build()).TakeValue();
+  ServerPipeline p(opts, &clock,
+                   std::make_unique<BalanceSicShedder>(Rng(1)));
+  probe->pipeline = &p;
+  ASSERT_TRUE(p.AddQuery(graph.get()).ok());
+  p.Start();
+
+  // A 100-tuple batch costs over 10 ms of modeled work. A burst every 5 ms
+  // overloads the site (the ticks shed); a later stretch every 10 ms finds
+  // the site busy with an empty buffer. The run is driven in 5 ms steps,
+  // so every tick ends a step, comparing the two reads after each.
+  std::vector<SimTime> arrival_times;
+  for (SimTime t = Millis(300) + 3; t < Millis(600); t += Millis(5)) {
+    arrival_times.push_back(t);
+  }
+  for (SimTime t = Millis(1200) + 3; t < Millis(1500); t += Millis(10)) {
+    arrival_times.push_back(t);
+  }
+  int held_back = 0;
+  int steps = 0;
+  size_t next = 0;
+  for (SimTime until = Millis(5); until < Millis(3000); until += Millis(5)) {
+    std::vector<TimedBatch> arrivals;
+    for (; next < arrival_times.size() && arrival_times[next] <= until;
+         ++next) {
+      SimTime at = arrival_times[next];
+      arrivals.push_back(
+          TimedBatch{at, SourceBatch(1, 10, at - Millis(250), 100, 1.0)});
+    }
+    DriveDeterministic(&p, &clock, &arrivals, until);
+    ASSERT_EQ(p.Watermark(), p.LockedWatermark()) << until;
+    if (p.Watermark() < clock.NowMicros() - opts.window_grace) {
+      ++held_back;
+    }
+    ++steps;
+  }
+  p.Stop();
+  ASSERT_FALSE(probe->seen.empty());
+  for (const auto& [lock_free, locked] : probe->seen) {
+    EXPECT_EQ(lock_free, locked);
+  }
+  EXPECT_GT(held_back, 0);      // the IB front held the watermark back
+  EXPECT_LT(held_back, steps);  // and the grace bound applied otherwise
+  EXPECT_GT(p.stats().tuples_shed, 0u);
+}
+
+// Push, the ingress's Pop and the lock-free Watermark race on live worker
+// threads (the tsan job runs this): every value read is one the site could
+// have published — the grace bound with an empty buffer, else the creation
+// time of a buffered batch — and the two reads agree once the buffer
+// drains.
+TEST(ServerPipelineTest, LockFreeWatermarkUnderConcurrentPushAndPop) {
+  ManualClock clock;
+  clock.AdvanceTo(Seconds(10));
+  ServerOptions opts;
+  opts.workers = 2;
+  auto graph = MakeAvgGraph(1, 10);
+  ServerPipeline p(opts, &clock,
+                   std::make_unique<BalanceSicShedder>(Rng(1)));
+  ASSERT_TRUE(p.AddQuery(graph.get()).ok());
+  p.Start();
+  const SimTime bound = clock.NowMicros() - opts.window_grace;
+  constexpr int kBatches = 2000;
+
+  std::atomic<bool> done{false};
+  std::thread source([&] {
+    for (int i = 0; i < kBatches; ++i) {
+      EXPECT_TRUE(p.Push(SourceBatch(1, 10, /*created=*/i, 4, 1.0)));
+    }
+    done.store(true, std::memory_order_release);
+  });
+  std::vector<SimTime> reads;
+  while (!done.load(std::memory_order_acquire)) {
+    reads.push_back(p.Watermark());
+  }
+  source.join();
+  p.WaitIdle();
+  p.Stop();
+
+  ASSERT_FALSE(reads.empty());
+  for (SimTime wm : reads) {
+    EXPECT_TRUE(wm == bound || (wm >= 0 && wm < kBatches)) << wm;
+  }
+  EXPECT_EQ(p.Watermark(), bound);
+  EXPECT_EQ(p.LockedWatermark(), bound);
+  EXPECT_EQ(p.stats().tuples_processed, 4u * kBatches);
 }
 
 }  // namespace
